@@ -1,5 +1,6 @@
 #include "api/run.hpp"
 
+#include <ostream>
 #include <utility>
 
 #include "api/session.hpp"
@@ -7,6 +8,20 @@
 #include "core/report.hpp"
 
 namespace rmp::api {
+
+namespace {
+
+core::Json to_json(const MinedCandidate& candidate) {
+  core::Json doc = core::Json::object()
+                       .set("selection", candidate.selection)
+                       .set("front_index", candidate.front_index)
+                       .set("f", core::to_json(candidate.objectives))
+                       .set("x", core::to_json(candidate.x));
+  if (candidate.yield) doc.set("yield", core::to_json(*candidate.yield));
+  return doc;
+}
+
+}  // namespace
 
 RunResult run(const RunSpec& spec) { return run(spec, Session::Observer{}); }
 
@@ -43,7 +58,7 @@ RunResult run(const RunSpec& spec, const Session::Observer& observer) {
 core::Json result_to_json(const RunResult& result) {
   using core::Json;
   Json mined = Json::array();
-  for (const auto& c : result.mined) mined.push_back(core::to_json(c));
+  for (const auto& c : result.mined) mined.push_back(to_json(c));
   Json surface = Json::array();
   for (const auto& p : result.surface) surface.push_back(core::to_json(p));
   return Json::object()
@@ -67,6 +82,23 @@ core::Json result_to_json(const RunResult& result) {
                                   .set("optimize", result.optimize_seconds)
                                   .set("mining", result.mining_seconds)
                                   .set("robustness", result.robustness_seconds));
+}
+
+void print_result_summary(const RunResult& result, std::ostream& os) {
+  using core::TextTable;
+  os << "front size: " << result.front.size()
+     << ", evaluations: " << result.evaluations << "\n";
+  for (const auto& c : result.mined) {
+    os << "  [" << c.selection << "] f = (";
+    for (std::size_t j = 0; j < c.objectives.size(); ++j) {
+      os << (j == 0 ? "" : ", ") << TextTable::num(c.objectives[j]);
+    }
+    os << ")";
+    if (c.yield) {
+      os << "  yield = " << TextTable::fixed(100.0 * c.yield->gamma, 1) << "%";
+    }
+    os << "\n";
+  }
 }
 
 }  // namespace rmp::api

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/fault.hpp"
-#include "core/report.hpp"
 #include "moo/cached_problem.hpp"
 #include "moo/state.hpp"
 #include "pareto/mining.hpp"
@@ -276,7 +275,7 @@ RunResult Session::finish() {
   if (spec_.mining.enabled) {
     const auto mining_start = clock::now();
     auto mine = [&](std::string selection, std::size_t idx) {
-      core::MinedCandidate c;
+      MinedCandidate c;
       c.selection = std::move(selection);
       c.front_index = idx;
       c.x = result.front[idx].x;
@@ -294,7 +293,7 @@ RunResult Session::finish() {
 
   if (robust) {
     const auto robustness_start = clock::now();
-    for (core::MinedCandidate& c : result.mined) {
+    for (MinedCandidate& c : result.mined) {
       // The mined candidate's archived objective 0 IS the property's nominal
       // value (bitwise — the archive stores what evaluate() reported), so
       // hand it through instead of re-evaluating the nominal point.
@@ -313,14 +312,13 @@ RunResult Session::finish() {
         const auto best = std::max_element(
             result.surface.begin(), result.surface.end(),
             [](const auto& a, const auto& b) { return a.gamma < b.gamma; });
-        core::MinedCandidate c;
+        MinedCandidate c;
         c.selection = "max-yield";
         c.front_index = best->front_index;
         c.x = result.front[best->front_index].x;
         c.objectives = result.front[best->front_index].f;
         // Synthesize the YieldResult from the surface's gamma (same x, same
-        // config — re-running the Monte-Carlo ensemble would only repeat it),
-        // exactly as RobustDesigner's stage 4 does.
+        // config — re-running the Monte-Carlo ensemble would only repeat it).
         robustness::YieldResult y;
         y.gamma = best->gamma;
         y.nominal_value = property(c.x);

@@ -1124,8 +1124,7 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
   // 2. Expensive path: integrate the natural transient under the candidate
   //    kinetics — this decides the basin honestly.
   const num::Vec& start = natural_.converged ? natural_.state : default_initial_state();
-  SteadyState ss =
-      solve_from(start, mult, /*allow_fallback=*/!config_.fast_evaluation);
+  SteadyState ss = solve_from(start, mult, /*allow_fallback=*/false);
   if (auto alive = consider(std::move(ss), false)) {
     return finalize(std::move(*alive));
   }
@@ -1185,14 +1184,13 @@ SteadyState C3Model::cycle_shoot(std::span<const double> start,
   sopts.ode.state_floor = 0.0;
   sopts.ode.max_step = 20.0;
   if (config_.analytic_jacobian) sopts.ode.jacobian = jacobian_fn;
-  // Pseudo-cycle drift budget (see C3Config::cycle_drift_tolerance).
-  // Each aligned round is one PLAIN period flight, and doubles as
-  // relaxation — the fast modes contract every round — so a generous cap
-  // is the cheap choice: a warm restart from a far-away pooled anchor that
-  // needs 10-12 rounds still costs a fraction of timing out into the cold
-  // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
-  // otherwise trigger.
-  sopts.drift_tolerance = config_.cycle_drift_tolerance;
+  // The pseudo-cycle drift budget is the solver default (see
+  // C3Config::cycle_shooting).  Each aligned round is one PLAIN period
+  // flight, and doubles as relaxation — the fast modes contract every
+  // round — so a generous round cap is the cheap choice: a warm restart
+  // from a far-away pooled anchor that needs 10-12 rounds still costs a
+  // fraction of timing out into the cold bootstrap (a 400-unit transient
+  // plus a 240-unit period scan) it would otherwise trigger.
   sopts.max_iterations = 16;
   // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
   // mmol/l.  Two forces size it.  Downward pressure is answer quality — a

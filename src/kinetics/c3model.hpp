@@ -145,13 +145,6 @@ struct C3Config {
   double frac_ru5p_pep = 0.30, frac_x5p_pep = 0.45, frac_r5p_pep = 0.25;
   double frac_f6p_hep = 0.293, frac_g6p_hep = 0.674, frac_g1p_hep = 0.033;
 
-  // --- evaluation strategy ---------------------------------------------------
-  /// When true (default), candidate steady-state evaluation skips the
-  /// integration fallback: candidates that defeat every Newton/PTC warm
-  /// start are reported unconverged (infeasible to the optimizer).  The
-  /// natural state and anchors are always solved thoroughly.
-  bool fast_evaluation = true;
-
   // --- steady-state solver strategy ------------------------------------------
   // The three knobs select between the optimized engine (defaults) and the
   // PR-4-era baseline (finite differences, fresh factorization every
@@ -169,23 +162,18 @@ struct C3Config {
   /// every candidate cold-starts through the anchor ladder).
   std::size_t warm_pool_capacity = 64;
   /// Oscillatory candidates: solve the limit cycle by periodic-orbit
-  /// shooting (Broyden on (y0, T), see num::solve_limit_cycle) and average
-  /// over exactly one converged period, warm-restarting from pooled cycle
-  /// anchors.  When false — or whenever the shooting solver gives up — the
-  /// PR-5 windowed long integration runs instead, so classifications never
-  /// depend on this knob, only cost and the averaging window do.
+  /// shooting (aligned-Picard rounds on (y0, T), see num::solve_limit_cycle)
+  /// and average over exactly one converged period, warm-restarting from
+  /// pooled cycle anchors.  The C3 oscillatory shell has NO isolated limit
+  /// cycle — serine accumulates as a near-conserved photorespiratory pool,
+  /// so the orbit drifts along a one-parameter family of pseudo-cycles — and
+  /// the solver's default drift budget accepts a phase-aligned snapshot of
+  /// the current pseudo-cycle: the same semantics as the windowed average,
+  /// which is equally a snapshot of that drift.  When false — or whenever
+  /// the shooting solver gives up — the PR-5 windowed long integration runs
+  /// instead, so classifications never depend on this knob, only cost and
+  /// the averaging window do.
   bool cycle_shooting = true;
-  /// Drift budget handed to the shooting solver (ShootingOptions::
-  /// drift_tolerance), relative to the state scale.  The C3 oscillatory
-  /// shell has NO isolated limit cycle: serine accumulates as a
-  /// near-conserved photorespiratory pool, so the orbit drifts along a
-  /// one-parameter family of pseudo-cycles and strict Newton shooting
-  /// correctly gives up on every candidate.  A positive budget accepts a
-  /// phase-aligned snapshot of the current pseudo-cycle — the same
-  /// semantics as the windowed average it replaces, which is equally a
-  /// snapshot of that drift.  0 restores strict shooting (always falls
-  /// back to the window in this model).
-  double cycle_drift_tolerance = 0.05;
 
   // --- reporting ------------------------------------------------------------
   /// Converts net stromal fixation (mmol l^-1 s^-1) to leaf-area CO2 uptake

@@ -65,7 +65,7 @@ struct Pmo2Options {
   /// Merge policy of the global archive.  kBatch and the kNaive reference
   /// are semantically identical (fingerprint-equal, tested); the knob exists
   /// so differential tests and benches can pit them against each other.
-  ArchiveMerge archive_merge = Archive::default_merge();
+  ArchiveMerge archive_merge = ArchiveMerge::kBatch;
   std::uint64_t seed = 7;
   /// Threads evolving islands concurrently, one task per island (0 = one
   /// thread per hardware context, 1 = serial).  The archive is bit-identical
@@ -87,7 +87,7 @@ class Pmo2 final : public Optimizer {
   /// splitmix64 output rooted at options.seed — so island streams do not
   /// depend on construction order, never alias across nearby run seeds,
   /// and are independent of the migration stream.
-  using AlgorithmFactory = std::function<std::unique_ptr<Algorithm>(
+  using AlgorithmFactory = std::function<std::unique_ptr<Optimizer>(
       const Problem& problem, std::uint64_t seed, std::size_t island_index)>;
 
   /// Observer invoked after every generation (gen is 1-based), always with a
@@ -150,7 +150,7 @@ class Pmo2 final : public Optimizer {
   [[nodiscard]] const Archive& archive() const { return archive_; }
   [[nodiscard]] std::size_t evaluations() const override;
   [[nodiscard]] std::size_t num_islands() const { return islands_.size(); }
-  [[nodiscard]] const Algorithm& island(std::size_t i) const { return *islands_[i]; }
+  [[nodiscard]] const Optimizer& island(std::size_t i) const { return *islands_[i]; }
   [[nodiscard]] std::size_t migrations_performed() const { return migrations_; }
 
  private:
@@ -159,7 +159,7 @@ class Pmo2 final : public Optimizer {
   const Problem& problem_;
   Pmo2Options opts_;
   num::Rng rng_;  ///< migration stream (edge draws, migrant picks) — barrier-only
-  std::vector<std::unique_ptr<Algorithm>> islands_;
+  std::vector<std::unique_ptr<Optimizer>> islands_;
   Archive archive_;
   std::size_t generation_ = 0;
   std::size_t migrations_ = 0;

@@ -1,19 +1,16 @@
-// ODE initial-value-problem integrators.
+// ODE initial-value-problem integrators for the stiff kinetic models.
 //
 // The C3 carbon-metabolism model is a moderately stiff system of ~30 coupled
 // Michaelis-Menten rate equations; the paper's substrate (SUNDIALS-class
-// solvers) is reproduced here with:
-//   * classic RK4 (fixed step, baseline / tests),
-//   * Cash-Karp 4(5) and Dormand-Prince 5(4) embedded adaptive pairs,
-//   * a 2nd-order Rosenbrock-W method (linearly implicit, numeric Jacobian)
-//     for stiff transients,
-//   * a 3rd-order L-stable Rosenbrock method with an embedded 2nd-order
-//     error estimate (2 RHS evaluations + 1 factorization per step) — the
-//     kinetic limit-cycle integration path,
-//   * implicit Euler with damped Newton for very stiff relaxation runs.
-// `integrate_to_steady_state` drives any stepper until the time-derivative
-// norm falls under a threshold — the per-candidate evaluation used by the
-// photosynthesis optimization when the Newton steady-state solve fails.
+// solvers) is reproduced here with two linearly implicit methods:
+//   * a 2nd-order Rosenbrock-W method (ROW2, step-doubling error control)
+//     for the stiff transients of the steady-state fallback and the
+//     windowed cycle average,
+//   * a 3rd-order L-stable Rosenbrock method (ROS3) with an embedded
+//     2nd-order error estimate (2 RHS evaluations + 1 factorization per
+//     step) — the kinetic limit-cycle integration path.
+// Both take a closed-form Jacobian when the caller supplies one and fall
+// back to forward differences otherwise.
 #pragma once
 
 #include <span>
@@ -34,34 +31,29 @@ using OdeRhs =
     FunctionRef<void(double t, std::span<const double> y, Vec& dydt)>;
 
 /// Analytic Jacobian df/dy at (t, y); jac arrives pre-sized n x n and
-/// zeroed.  Consumed by the linearly implicit methods (Rosenbrock-W,
-/// implicit Euler), replacing the n+1 RHS evaluations a forward-difference
-/// build costs per step.  The df/dt part is treated as zero — exact for
+/// zeroed.  Replaces the n+1 RHS evaluations a forward-difference build
+/// costs per step.  The df/dt part is treated as zero — exact for
 /// autonomous systems (the kinetic models), and safe for forced ones
-/// because both consumers are W-methods: an inexact Jacobian costs step
+/// because both methods are W-methods: an inexact Jacobian costs step
 /// size, never correctness.
 using OdeJacobian =
     FunctionRef<void(double t, std::span<const double> y, Matrix& jac)>;
 
 /// Observer invoked after every ACCEPTED step with (t_new, h_used, y_new);
-/// y spans the USER state (the linearly implicit methods strip their
-/// internal time augmentation first).  Rejected trials are never reported.
-/// The shooting solver rides this hook to propagate the variational
-/// (monodromy) system alongside a flight; unset costs nothing.
+/// y spans the USER state (both methods strip their internal time
+/// augmentation first).  Rejected trials are never reported.
+/// The shooting solver rides this hook to propagate one variational
+/// direction alongside a flight; unset costs nothing.
 using OdeStepObserver =
     FunctionRef<void(double t, double h, std::span<const double> y)>;
 
 enum class OdeMethod {
-  kRk4,             ///< classic fixed-step 4th order
-  kCashKarp45,      ///< adaptive embedded 4(5)
-  kDormandPrince54, ///< adaptive embedded 5(4)
-  kRosenbrockW,     ///< linearly implicit order 2, for stiff systems
-  kRosenbrock3,     ///< linearly implicit order 3(2), L-stable; cycle path
-  kImplicitEuler,   ///< backward Euler + damped Newton, very stiff systems
+  kRosenbrockW,  ///< linearly implicit order 2, for stiff systems
+  kRosenbrock3,  ///< linearly implicit order 3(2), L-stable; cycle path
 };
 
 struct OdeOptions {
-  OdeMethod method = OdeMethod::kDormandPrince54;
+  OdeMethod method = OdeMethod::kRosenbrock3;
   double abs_tol = 1e-8;
   double rel_tol = 1e-6;
   double initial_step = 1e-3;
@@ -71,8 +63,7 @@ struct OdeOptions {
   /// Optional floor applied to every state after each accepted step
   /// (concentrations cannot go negative; kinetic models rely on this).
   double state_floor = -1e300;
-  /// Closed-form Jacobian for the implicit methods; null = finite
-  /// differences (see OdeJacobian).
+  /// Closed-form Jacobian; null = finite differences (see OdeJacobian).
   OdeJacobian jacobian;
   /// Per-accepted-step hook (see OdeStepObserver); null = no reporting.
   OdeStepObserver step_observer;
@@ -86,38 +77,18 @@ struct OdeResult {
   Vec y;                    ///< state at final time
   double t = 0.0;           ///< time actually reached
   std::size_t steps = 0;    ///< accepted steps
-  std::size_t rejected = 0; ///< rejected trial steps (adaptive methods)
+  std::size_t rejected = 0; ///< rejected trial steps
   std::size_t rhs_evals = 0;
-  bool success = false;     ///< reached t_end (or steady state when requested)
-  /// Step size the adaptive methods would take next — feed it back as
+  bool success = false;     ///< reached t_end
+  /// Step size the controller would take next — feed it back as
   /// initial_step when integrating onward from res.y (windowed averaging,
   /// leg-by-leg fallbacks) so every leg after the first skips the ramp-up
-  /// from a cold initial_step.  0 for the fixed-step method.
+  /// from a cold initial_step.
   double last_step = 0.0;
 };
 
 /// Integrate y' = f(t, y) from (t0, y0) to t_end.
 [[nodiscard]] OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0,
                                   double t_end, const OdeOptions& opts = {});
-
-struct SteadyStateOptions {
-  OdeOptions ode;
-  /// Steady state declared when ||dy/dt||_inf <= derivative_tol.
-  double derivative_tol = 1e-9;
-  /// Give up (success=false) after integrating this much model time.
-  double max_time = 1e6;
-  /// Derivative norm is checked every `check_interval` time units.
-  double check_interval = 10.0;
-};
-
-/// Integrate until the derivative norm vanishes; result.success reflects
-/// whether the steady-state criterion (not just max_time) was met.
-[[nodiscard]] OdeResult integrate_to_steady_state(const OdeRhs& f,
-                                                  std::span<const double> y0,
-                                                  const SteadyStateOptions& opts = {});
-
-/// Forward-difference Jacobian of f at (t, y); J(i,j) = df_i/dy_j.
-[[nodiscard]] Matrix numeric_jacobian(const OdeRhs& f, double t, std::span<const double> y,
-                                      double eps = 1e-7);
 
 }  // namespace rmp::num

@@ -3,24 +3,9 @@
 // The kinetic engine's oscillatory tail (Hopf-shell candidates) used to be
 // handled by brute force: integrate far past the transient and average over
 // a long window.  A limit cycle is better characterized as a periodic-orbit
-// root-finding problem: find (y0, T) with Phi_T(y0) = y0, where Phi is the
-// flow map, plus one phase condition pinning the otherwise free phase along
-// the orbit.  solve_limit_cycle runs a damped Newton iteration on that
-// (n+1)-dimensional system.  The state block of the Newton matrix is the
-// exact M - I, with the monodromy M = d(Phi_T)/dy0 propagated alongside the
-// flight through the integrator's step-observer hook (implicit Euler on the
-// variational system M' = J M) — essential near a Hopf shell, where the
-// dominant Floquet multiplier approaches 1, (M - I) is near-singular, and
-// seed or finite-difference Jacobians stall the iteration.  Broyden rank-1
-// updates carry the matrix between the (few, bounded) monodromy flights, so
-// most iterations still cost ONE plain integration over a single period,
-// instead of the hundreds of periods the averaging window costs.  Once
-// converged, one final pass over the period produces the time-weighted cycle
-// average (state + optional scalar observable), the per-component amplitude
-// (rejecting fixed points masquerading as cycles), and the stability verdict
-// (in-memory power iteration on the monodromy matrix that same pass
-// propagated, deflated along the flow direction whose Floquet multiplier is
-// trivially 1 — no extra integrations).
+// problem: find (y0, T) with Phi_T(y0) = y0 up to a phase, where Phi is the
+// flow map — solved here at the cost of a few one-period flights instead of
+// the hundreds of periods the averaging window costs.
 //
 // Not every oscillatory system HAS an isolated cycle to shoot for.  The C3
 // kinetic model near its Hopf shell carries a near-conserved quantity: the
@@ -29,28 +14,32 @@
 // successive returns, and the aligned return residual lies almost entirely
 // along that single slow direction while the fast components settle to
 // ~1e-5 within ONE period).  Phi_T(y) - y then has an irreducible component
-// no root-finder can remove — strict Newton correctly gives up.  For such
-// systems `drift_tolerance > 0` enables the drift-tolerant mode: an
-// aligned-Picard iteration — fly one period, phase-align the return,
-// deflate the aligned residual along the flow — whose rounds need no
-// variational ride-along at all, so each costs ONE plain flight.  The
-// fast Floquet modes contract the residual round over round while the
+// no root-finder can remove, so solve_limit_cycle runs a drift-tolerant
+// aligned-Picard iteration instead of Newton: fly one period, phase-align
+// the return, deflate the aligned residual along the flow — rounds that
+// need no variational ride-along at all, so each costs ONE plain flight.
+// The fast Floquet modes contract the residual round over round while the
 // family component cannot, so the split falls out of comparing consecutive
 // deflated residuals: converged when two rounds agree to tolerance (the
-// agreement bounds the fast remainder) and the surviving drift chi is
-// under the budget.  The answer is an honest SNAPSHOT of the pseudo-cycle
-// the trajectory currently occupies — exactly the semantics of the
-// windowed-averaging reference it replaces, whose window mean is the same
-// snapshot taken at whatever time the window covers — with the measured
-// drift reported in ShootingResult::drift.  Stability splits the same way:
-// fast modes are certified by convergence itself, and the averaging pass
-// rides the variational update on the single converged family direction
-// (vprop = M * v at ~one extra plain flight's cost) to measure the family
-// multiplier.
+// agreement bounds the fast remainder) and the surviving drift chi is under
+// the drift_tolerance budget.  On a genuine isolated cycle chi goes to ~0
+// and the same rounds land on the cycle itself.  The answer is an honest
+// SNAPSHOT of the pseudo-cycle the trajectory currently occupies — exactly
+// the semantics of the windowed-averaging reference it replaces, whose
+// window mean is the same snapshot taken at whatever time the window
+// covers — with the measured drift reported in ShootingResult::drift.
 //
-// Clean give-up contract: every failure mode (phase gradient vanishes — the
-// guess sits at a fixed point; period drifts out of bounds; the line search
-// cannot descend; amplitude below threshold; unstable cycle) returns
+// Once converged, one final pass over the period produces the time-weighted
+// cycle average (state + optional scalar observable), the per-component
+// amplitude (rejecting fixed points masquerading as cycles), and the
+// stability verdict.  Stability splits the same way as convergence: fast
+// modes are certified by convergence itself, and the averaging pass rides
+// the variational update on the single converged family direction (vprop =
+// M * v at ~one extra plain flight's cost) to measure the family multiplier.
+//
+// Clean give-up contract: every failure mode (the guess sits at a fixed
+// point; the period drifts out of bounds; the rounds never agree within
+// max_iterations; amplitude below threshold; unstable family mode) returns
 // converged = false and callers fall back to long integration.  The solver
 // is never silently wrong: a converged result has been re-integrated over
 // one full period with the residual re-measured.
@@ -75,37 +64,32 @@ using CycleObservable = FunctionRef<double(std::span<const double> y)>;
 struct ShootingOptions {
   /// Integrator for the flow map; the stiff cycle path wants kRosenbrock3.
   OdeOptions ode;
+  /// Cap on aligned-Picard rounds (one period flight each).
   std::size_t max_iterations = 30;
-  /// Convergence on ||Phi_T(y0) - y0||_inf relative to max(1, ||y0||_inf).
+  /// Fast-remainder gate: two consecutive deflated residuals must agree to
+  /// this, relative to max(1, ||y0||_inf).
   double tolerance = 1e-6;
-  /// Admissible period window; the Broyden iterate failing out of it is a
-  /// clean give-up (non-periodic or wildly mis-guessed trajectory).
+  /// Admissible period window; the iterate's period leaving it is a clean
+  /// give-up (non-periodic or wildly mis-guessed trajectory).
   double min_period = 1e-2;
   double max_period = 1e4;
   /// Reject "cycles" whose largest per-component peak-to-peak amplitude is
   /// below this — a fixed point satisfies Phi_T(y) = y for every T.
   double min_amplitude = 1e-4;
-  /// Power-iteration steps on the propagated monodromy matrix for the
-  /// dominant nontrivial Floquet multiplier (in-memory matrix-vector
-  /// products — no integrations).  0 = skip the stability check entirely,
-  /// including the variational propagation over the averaging pass
-  /// (result.stable is then true for any converged cycle).
-  std::size_t floquet_iterations = 3;
-  /// A cycle is declared unstable (converged = false) when the estimated
-  /// dominant multiplier magnitude exceeds this.
+  /// A cycle is declared unstable (converged = false) when the measured
+  /// family multiplier magnitude exceeds this.
   double max_floquet_magnitude = 1.2;
   /// Samples per period for the average/amplitude pass.
   std::size_t average_samples = 48;
   /// Step for the forward-difference Jacobian inside the variational
   /// propagator, used only when ode.jacobian is null.
   double fd_eps = 1e-6;
-  /// 0 (default) = strict mode: Newton on Phi_T(y0) = y0, for systems with
-  /// a genuine isolated cycle.  > 0 = drift-tolerant mode for pseudo-cycle
-  /// FAMILIES (see file comment): accept a phase-aligned snapshot whose
-  /// fast residual is at `tolerance` and whose residual along the slow
-  /// family direction is at most drift_tolerance * max(1, ||y0||_inf).
-  /// The slow component is reported in ShootingResult::drift.
-  double drift_tolerance = 0.0;
+  /// Drift budget for pseudo-cycle FAMILIES (see file comment): accept a
+  /// phase-aligned snapshot whose fast residual is at `tolerance` and whose
+  /// residual along the slow family direction is at most drift_tolerance *
+  /// max(1, ||y0||_inf).  The slow component is reported in
+  /// ShootingResult::drift.
+  double drift_tolerance = 0.05;
   Workspace* workspace = nullptr;
 };
 
@@ -117,10 +101,10 @@ struct ShootingResult {
   double average_observable = 0.0;  ///< 0 when no observable was supplied
   double amplitude = 0.0;     ///< max over components of peak-to-peak range
   double residual = 0.0;      ///< ||Phi_T(y0) - y0||_inf at the returned point
-  double floquet_magnitude = 0.0;  ///< 0 when the check was skipped
-  /// Drift-tolerant mode only: |residual component along the slow family
-  /// direction| at acceptance — how fast the pseudo-cycle is migrating per
-  /// period.  0 in strict mode (an isolated cycle does not drift).
+  double floquet_magnitude = 0.0;  ///< measured family multiplier magnitude
+  /// |residual component along the slow family direction| at acceptance —
+  /// how fast the pseudo-cycle is migrating per period; ~0 on an isolated
+  /// cycle.
   double drift = 0.0;
   bool stable = false;
   std::size_t iterations = 0;

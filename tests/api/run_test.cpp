@@ -150,6 +150,77 @@ TEST(ApiRunTest, RobustnessStagesProduceYieldsAndSurface) {
   EXPECT_DOUBLE_EQ(again.mined[0].yield->gamma, result.mined[0].yield->gamma);
 }
 
+TEST(ApiRunTest, ShadowMinimaAreTheFrontsExtremes) {
+  const RunResult result = run(small_zdt1_spec());
+  ASSERT_EQ(result.mined.size(), 3u);
+  const num::Vec prm = result.front.relative_minimum();
+  EXPECT_EQ(result.mined[1].selection, "shadow-min f0");
+  EXPECT_DOUBLE_EQ(result.mined[1].objectives[0], prm[0]);
+  EXPECT_EQ(result.mined[2].selection, "shadow-min f1");
+  EXPECT_DOUBLE_EQ(result.mined[2].objectives[1], prm[1]);
+}
+
+// The design pipeline (optimize -> mine -> robustness screening) end to end.
+RunSpec designer_spec() {
+  RunSpec spec;
+  spec.problem = "zdt1?n=8";
+  spec.optimizer = "pmo2?islands=2&migration_interval=10";
+  spec.generations = 30;
+  spec.seed = 5;
+  spec.threads = 1;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 100;
+  spec.robustness.surface_samples = 8;
+  return spec;
+}
+
+TEST(DesignerTest, FullPipelineOnZdt1) {
+  const RunResult result = run(designer_spec());
+
+  EXPECT_GT(result.front.size(), 10u);
+  EXPECT_GT(result.evaluations, 1000u);
+
+  // Mined set: closest-to-ideal + one shadow minimum per objective + max-yield.
+  ASSERT_GE(result.mined.size(), 4u);
+  EXPECT_EQ(result.mined[0].selection, "closest-to-ideal");
+  EXPECT_EQ(result.mined[1].selection, "shadow-min f0");
+  EXPECT_EQ(result.mined[2].selection, "shadow-min f1");
+  EXPECT_EQ(result.mined.back().selection, "max-yield");
+
+  // Every mined candidate carries a yield estimate in [0, 1].
+  for (const auto& c : result.mined) {
+    ASSERT_TRUE(c.yield.has_value()) << c.selection;
+    EXPECT_GE(c.yield->gamma, 0.0);
+    EXPECT_LE(c.yield->gamma, 1.0);
+  }
+  EXPECT_FALSE(result.surface.empty());
+}
+
+// A zero-trial ensemble is the run-level analogue of having no property to
+// screen: the stage is on but has nothing to estimate.
+TEST(DesignerTest, NullPropertySkipsRobustness) {
+  RunSpec spec = designer_spec();
+  spec.robustness.trials = 0;
+  const RunResult result = run(spec);
+  ASSERT_EQ(result.mined.size(), 3u);
+  EXPECT_TRUE(result.surface.empty());
+  for (const auto& c : result.mined) {
+    EXPECT_FALSE(c.yield.has_value()) << c.selection;
+  }
+}
+
+TEST(DesignerTest, RobustnessDisabledByConfig) {
+  // A requested surface must not run behind the switch.
+  RunSpec spec = designer_spec();
+  spec.robustness.enabled = false;
+  const RunResult result = run(spec);
+  ASSERT_EQ(result.mined.size(), 3u);
+  EXPECT_TRUE(result.surface.empty());
+  for (const auto& c : result.mined) {
+    EXPECT_FALSE(c.yield.has_value()) << c.selection;
+  }
+}
+
 TEST(ApiRunTest, ResultJsonCarriesTheFingerprint) {
   RunSpec spec = small_zdt1_spec();
   spec.include_decision_vectors = true;

@@ -133,7 +133,7 @@ TEST(Pmo2Test, HeterogeneousIslands) {
   o.islands = 2;
   o.generations = 15;
   Pmo2::AlgorithmFactory factory = [](const Problem& p, std::uint64_t seed,
-                                      std::size_t island) -> std::unique_ptr<Algorithm> {
+                                      std::size_t island) -> std::unique_ptr<Optimizer> {
     if (island == 0) {
       Nsga2Options no;
       no.population_size = 16;
@@ -272,7 +272,7 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
 // immigrant came from (immigrants keep the source island's x) and absorbs it
 // into the population.  Residents are mutually non-dominated across islands
 // (f = (i, -i)), so every island's front is its whole population.
-class RecordingAlgorithm final : public Algorithm {
+class RecordingAlgorithm final : public Optimizer {
  public:
   RecordingAlgorithm(std::size_t index,
                      std::vector<std::pair<std::size_t, std::size_t>>* log)
@@ -334,7 +334,7 @@ TEST(Pmo2Test, MigrationEpochAppliesEdgesInCanonicalOrderFromSnapshot) {
 
 /// Island that throws on its second step(); used to prove the strong
 /// exception guarantee on committed state.
-class ThrowingAlgorithm final : public Algorithm {
+class ThrowingAlgorithm final : public Optimizer {
  public:
   explicit ThrowingAlgorithm(std::size_t index) : index_(index) {}
 

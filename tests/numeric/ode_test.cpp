@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace rmp::num {
 namespace {
@@ -27,6 +28,11 @@ struct MethodParam {
   OdeMethod method;
   double tolerance;  // acceptance tolerance on the final value
 };
+
+// Parameter printer: readable test names instead of the struct's raw bytes.
+[[maybe_unused]] void PrintTo(const MethodParam& p, std::ostream* os) {
+  *os << (p.method == OdeMethod::kRosenbrockW ? "RosenbrockW" : "Rosenbrock3");
+}
 
 class OdeMethodTest : public ::testing::TestWithParam<MethodParam> {};
 
@@ -55,11 +61,8 @@ TEST_P(OdeMethodTest, OscillatorPhase) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, OdeMethodTest,
-    ::testing::Values(MethodParam{OdeMethod::kRk4, 1e-6},
-                      MethodParam{OdeMethod::kCashKarp45, 1e-6},
-                      MethodParam{OdeMethod::kDormandPrince54, 1e-6},
-                      MethodParam{OdeMethod::kRosenbrockW, 1e-4},
-                      MethodParam{OdeMethod::kImplicitEuler, 2e-2}));
+    ::testing::Values(MethodParam{OdeMethod::kRosenbrockW, 1e-4},
+                      MethodParam{OdeMethod::kRosenbrock3, 1e-4}));
 
 TEST(OdeTest, StiffProblemWithRosenbrock) {
   OdeOptions opts;
@@ -71,41 +74,9 @@ TEST(OdeTest, StiffProblemWithRosenbrock) {
   EXPECT_NEAR(r.y[0], std::cos(5.0), 1e-3);
 }
 
-TEST(OdeTest, StiffProblemWithImplicitEuler) {
-  OdeOptions opts;
-  opts.method = OdeMethod::kImplicitEuler;
-  opts.initial_step = 1e-3;
-  opts.max_step = 0.05;
-  const OdeResult r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
-  ASSERT_TRUE(r.success);
-  EXPECT_NEAR(r.y[0], std::cos(5.0), 5e-2);
-}
-
-TEST(OdeTest, StiffProblemExplicitIsStabilityLimited) {
-  // At loose accuracy the explicit method is limited by stability (step size
-  // ~ 2.8/1000 regardless of tolerance) while the L-stable Rosenbrock method
-  // is limited only by accuracy — this is why the stiff path exists.
-  OdeOptions opts;
-  opts.method = OdeMethod::kDormandPrince54;
-  opts.abs_tol = 1e-6;
-  opts.rel_tol = 1e-4;
-  const OdeResult explicit_r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
-  ASSERT_TRUE(explicit_r.success);
-  EXPECT_NEAR(explicit_r.y[0], std::cos(5.0), 1e-3);
-  const std::size_t explicit_attempts = explicit_r.steps + explicit_r.rejected;
-
-  opts.method = OdeMethod::kRosenbrockW;
-  opts.initial_step = 1e-4;
-  opts.max_step = 0.5;
-  const OdeResult stiff_r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
-  ASSERT_TRUE(stiff_r.success);
-  EXPECT_NEAR(stiff_r.y[0], std::cos(5.0), 1e-3);
-  EXPECT_LT(stiff_r.steps + stiff_r.rejected, explicit_attempts / 5);
-}
-
 TEST(OdeTest, AdaptiveTightensWithTolerance) {
   OdeOptions loose;
-  loose.method = OdeMethod::kDormandPrince54;
+  loose.method = OdeMethod::kRosenbrock3;
   loose.abs_tol = 1e-4;
   loose.rel_tol = 1e-3;
   OdeOptions tight = loose;
@@ -122,7 +93,7 @@ TEST(OdeTest, AdaptiveTightensWithTolerance) {
 
 TEST(OdeTest, StateFloorEnforced) {
   OdeOptions opts;
-  opts.method = OdeMethod::kDormandPrince54;
+  opts.method = OdeMethod::kRosenbrock3;
   opts.state_floor = 0.0;
   // Aggressive decay would overshoot below zero with large steps; the floor
   // keeps concentrations physical.
@@ -132,42 +103,6 @@ TEST(OdeTest, StateFloorEnforced) {
   const OdeResult r = integrate(f, 0.0, Vec{1.0}, 10.0, opts);
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.y[0], 0.0);
-}
-
-TEST(OdeTest, SteadyStateOfRelaxation) {
-  // y' = 3 - y has the fixed point y = 3.
-  const OdeRhs f = [](double, std::span<const double> y, Vec& d) {
-    d[0] = 3.0 - y[0];
-  };
-  SteadyStateOptions opts;
-  opts.derivative_tol = 1e-10;
-  opts.max_time = 100.0;
-  const OdeResult r = integrate_to_steady_state(f, Vec{0.0}, opts);
-  ASSERT_TRUE(r.success);
-  EXPECT_NEAR(r.y[0], 3.0, 1e-8);
-}
-
-TEST(OdeTest, SteadyStateTimesOutOnDrift) {
-  // y' = 1 never settles: success must be false.
-  const OdeRhs f = [](double, std::span<const double>, Vec& d) { d[0] = 1.0; };
-  SteadyStateOptions opts;
-  opts.max_time = 5.0;
-  const OdeResult r = integrate_to_steady_state(f, Vec{0.0}, opts);
-  EXPECT_FALSE(r.success);
-  EXPECT_NEAR(r.y[0], 5.0, 1e-6);
-}
-
-TEST(OdeTest, NumericJacobianOfLinearSystem) {
-  // f = A y with A = [[1, 2], [3, 4]]: the Jacobian is A itself.
-  const OdeRhs f = [](double, std::span<const double> y, Vec& d) {
-    d[0] = 1.0 * y[0] + 2.0 * y[1];
-    d[1] = 3.0 * y[0] + 4.0 * y[1];
-  };
-  const Matrix j = numeric_jacobian(f, 0.0, Vec{1.0, 1.0});
-  EXPECT_NEAR(j(0, 0), 1.0, 1e-5);
-  EXPECT_NEAR(j(0, 1), 2.0, 1e-5);
-  EXPECT_NEAR(j(1, 0), 3.0, 1e-5);
-  EXPECT_NEAR(j(1, 1), 4.0, 1e-5);
 }
 
 TEST(OdeTest, ZeroLengthIntervalIsIdentity) {

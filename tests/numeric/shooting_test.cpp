@@ -1,11 +1,10 @@
-// Property tests for the shooting limit-cycle solver (ISSUE: "locked down by
-// a solver differential-test harness" — the kinetic-model differential side
-// lives in solver_differential_test.cpp; here the solver's own contracts are
-// pinned on the van der Pol oscillator, whose mu = 1 cycle has a
-// literature-known period of ~6.6633 and |y0| amplitude of ~2.0086:
+// Property tests for the shooting limit-cycle solver.  The kinetic-model
+// differential side lives in solver_differential_test.cpp; here the solver's
+// own contracts are pinned on the van der Pol oscillator, whose mu = 1 cycle
+// has a literature-known period of ~6.6633 and |y0| amplitude of ~2.0086:
 //   * converged cycles have positive period inside the configured bounds;
 //   * the cycle average is invariant under a phase shift of the guess;
-//   * monodromy stability agrees with what plain integration observes;
+//   * the measured stability agrees with what plain integration observes;
 //   * non-periodic trajectories, fixed-point guesses, and sub-amplitude
 //     orbits are clean give-ups (converged = false), never silent nonsense.
 #include <gtest/gtest.h>
@@ -21,6 +20,9 @@ namespace rmp::num {
 namespace {
 
 constexpr double kVdpPeriod = 6.6633;  // van der Pol, mu = 1
+// Peak-to-peak range of y1 on that cycle (the larger of the two components),
+// read off a fine fixed-step RK4 reference integration.
+constexpr double kVdpAmplitude = 5.3569;
 
 void vdp_rhs(double, std::span<const double> y, Vec& d) {
   d[0] = y[1];
@@ -41,6 +43,7 @@ double first_component(std::span<const double> y) { return y[0]; }
 
 ShootingOptions vdp_options() {
   ShootingOptions opts;
+  opts.ode.method = OdeMethod::kRosenbrock3;
   opts.ode.abs_tol = 1e-10;
   opts.ode.rel_tol = 1e-8;
   opts.ode.max_step = 0.5;
@@ -268,29 +271,15 @@ void family_rhs(double, std::span<const double> y, Vec& d) {
   d[2] = -kFamilyEps * y[2];
 }
 
-TEST(ShootingTest, StrictModeFollowsTheFamilyToItsTrueCycle) {
-  // With drift_tolerance = 0 the solver must refuse the z = 0.5
-  // pseudo-cycle and land on the genuine isolated cycle at z = 0 (the
-  // z-block of M - I is small but nonsingular: multiplier e^{-2 pi eps}).
+TEST(ShootingTest, DriftModeSnapshotsThePseudoCycleItWasGiven) {
+  // The drift budget makes the solver accept the pseudo-cycle NEAR the
+  // guess instead of chasing the family down to z = 0: the snapshot keeps z
+  // close to the launch level (only a couple of e^{-2 pi eps} contractions
+  // away), the period is the family's ~2 pi, and the migration rate is
+  // reported.
   const OdeRhs f = family_rhs;
   const ShootingResult r =
       solve_limit_cycle(f, Vec{1.0, 0.0, 0.5}, 6.2, vdp_options());
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(r.period, kTwoPi, 1e-3);
-  EXPECT_NEAR(r.cycle_state[2], 0.0, 1e-4);
-  EXPECT_EQ(r.drift, 0.0);  // an isolated cycle does not drift
-}
-
-TEST(ShootingTest, DriftModeSnapshotsThePseudoCycleItWasGiven) {
-  // With a drift budget the solver accepts the pseudo-cycle NEAR the guess
-  // instead of chasing the family: the snapshot keeps z close to the
-  // launch level (only a couple of e^{-2 pi eps} contractions away), the
-  // period is the family's ~2 pi, and the migration rate is reported.
-  const OdeRhs f = family_rhs;
-  ShootingOptions opts = vdp_options();
-  opts.drift_tolerance = 0.05;
-  const ShootingResult r =
-      solve_limit_cycle(f, Vec{1.0, 0.0, 0.5}, 6.2, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.period, kTwoPi, 1e-3);
   EXPECT_GT(r.cycle_state[2], 0.4);  // still on the upper family, not z = 0
@@ -307,29 +296,24 @@ TEST(ShootingTest, DriftModeStillGivesUpCleanlyOffCycle) {
   // The budget forgives slow family drift, never non-periodicity: pure
   // decay must remain a clean give-up even with the budget wide open.
   const OdeRhs f = decay_rhs;
-  ShootingOptions opts = vdp_options();
-  opts.drift_tolerance = 0.05;
-  const ShootingResult r = solve_limit_cycle(f, Vec{1.0, 1.0}, 5.0, opts);
+  const ShootingResult r =
+      solve_limit_cycle(f, Vec{1.0, 1.0}, 5.0, vdp_options());
   EXPECT_FALSE(r.converged);
 }
 
-TEST(ShootingTest, DriftModeMatchesStrictOnAGenuineIsolatedCycle) {
-  // On van der Pol (no slow family) the budgeted path must land on the
-  // same cycle as strict Newton: the fast remainder alone reaches the
-  // tolerance and the measured drift is ~0.
+TEST(ShootingTest, DriftModeLandsOnAGenuineIsolatedCycle) {
+  // On van der Pol (no slow family) the budgeted rounds must land on the
+  // isolated cycle itself: the fast remainder alone reaches the tolerance,
+  // the measured drift is ~0, and period, amplitude and the (symmetric,
+  // zero-mean) cycle average match the reference cycle.
   const OdeRhs f = vdp_rhs;
-  ShootingOptions opts = vdp_options();
-  opts.drift_tolerance = 0.05;
-  const ShootingResult drift =
-      solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, opts, first_component);
-  const ShootingResult strict =
+  const ShootingResult r =
       solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, vdp_options(), first_component);
-  ASSERT_TRUE(drift.converged);
-  ASSERT_TRUE(strict.converged);
-  EXPECT_NEAR(drift.period, strict.period, 1e-3);
-  EXPECT_NEAR(drift.amplitude, strict.amplitude, 0.05);
-  EXPECT_NEAR(drift.average_observable, strict.average_observable, 0.02);
-  EXPECT_LT(drift.drift, 1e-3);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.period, kVdpPeriod, 1e-3);
+  EXPECT_NEAR(r.amplitude, kVdpAmplitude, 0.05);
+  EXPECT_NEAR(r.average_observable, 0.0, 0.02);
+  EXPECT_LT(r.drift, 1e-3);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <span>
 
 #include "numeric/newton.hpp"
@@ -14,6 +15,12 @@
 #include "numeric/workspace.hpp"
 
 namespace rmp::num {
+
+// Parameter printer (found by ADL on OdeMethod): readable test names.
+[[maybe_unused]] static void PrintTo(OdeMethod m, std::ostream* os) {
+  *os << (m == OdeMethod::kRosenbrockW ? "RosenbrockW" : "Rosenbrock3");
+}
+
 namespace {
 
 void two_dim_system(std::span<const double> x, Vec& out) {
@@ -144,12 +151,8 @@ TEST_P(WorkspaceOdeMethods, RepeatedIntegrationsGoQuietAfterWarmup) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, WorkspaceOdeMethods,
-                         ::testing::Values(OdeMethod::kRk4,
-                                           OdeMethod::kCashKarp45,
-                                           OdeMethod::kDormandPrince54,
-                                           OdeMethod::kRosenbrockW,
-                                           OdeMethod::kRosenbrock3,
-                                           OdeMethod::kImplicitEuler));
+                         ::testing::Values(OdeMethod::kRosenbrockW,
+                                           OdeMethod::kRosenbrock3));
 
 TEST(WorkspaceTest, RepeatedShootingSolvesGoQuietAfterWarmup) {
   Workspace ws;
