@@ -7,34 +7,29 @@
 // commit between generations (exactly the engines' cadence), once per
 // solver configuration:
 //   baseline  — finite-difference Jacobians, fresh LU every iteration, warm
-//               pool disabled, windowed cycle averages (the PR-4-era path);
-//   engine v1 — analytic Jacobians, chord-Newton reuse, epoch-committed
-//               warm-start pool, windowed cycle averages (the PR-5 engine);
-//   engine v2 — v1's Newton path plus the shooting limit-cycle solver with
-//               pool-able cycle anchors for the oscillatory tail (the
-//               defaults).
+//               pool disabled (the unoptimized reference path);
+//   optimized — analytic Jacobians, chord-Newton reuse, epoch-committed
+//               warm-start pool (the defaults).
+// Both resolve oscillatory candidates with the same windowed cycle average.
 // Reported per configuration: wall seconds, solves/sec, mean Newton
 // iterations, RHS evaluations and Jacobian factorizations per solve,
 // integration-fallback and warm-start rates — work counters, not just wall
 // time.  The stream is additionally split into the SOLVE PATH (candidates
-// both engines settle by Newton — where this PR's optimizations live) and
-// the oscillatory remainder (genuine limit cycles, integrator-bound in
-// both engines; only the FD-vs-analytic Jacobian inside the integrator
-// differs there).  Two gates, both full-scale (0 = report only):
+// both engines settle by Newton — where the optimizations live) and the
+// oscillatory remainder (genuine limit cycles, integrator-bound in both
+// engines; only the FD-vs-analytic Jacobian inside the integrator differs
+// there).  Two gates, both full-scale (0 = report only):
 //   RMP_KINETICS_MIN_SPEEDUP        — solve-path wall speedup floor
 //     (run_benchmarks.sh sets 1.5; measured ~1.9x on this trajectory and
 //     2.2-2.6x in the front-exploitation / yield-ensemble regimes — the gap
 //     to the RHS-work ratio is allocator/dispatch overhead shared by both
 //     paths);
 //   RMP_KINETICS_MIN_RHS_REDUCTION  — RHS-evaluations-per-solve reduction
-//     floor (run_benchmarks.sh sets 3; measured ~21x);
-//   RMP_KINETICS_MIN_V2_MIXED       — v2-over-v1 mixed-workload wall floor
-//     (run_benchmarks.sh sets 2 — v1 and v2 share the Newton path, so the
-//     whole difference is the shooting cycle path vs the 400-unit window).
+//     floor (run_benchmarks.sh sets 3; measured ~21x).
 //
 // Part 2 (determinism cross-check): a fixed PMO2 spec on the photosynthesis
-// problem is run with island_threads in {1, 2, 8} for each of five solver
-// configurations (baseline; v1 and v2, each with the pool disabled and
+// problem is run with island_threads in {1, 2, 8} for each of three solver
+// configurations (baseline; the defaults with the pool disabled and
 // enabled), each run on a FRESH model — the pool is model state.  Within
 // every configuration the archive fingerprint must be bit-identical across
 // thread counts; any divergence exits non-zero.
@@ -76,15 +71,6 @@ C3Config baseline_config() {
   cfg.analytic_jacobian = false;
   cfg.chord_max_age = 1;
   cfg.warm_pool_capacity = 0;
-  cfg.cycle_shooting = false;
-  return cfg;
-}
-
-/// The PR-5 engine: every Newton-path optimization, oscillatory candidates
-/// resolved by the windowed long integration (shooting off).
-C3Config v1_config() {
-  C3Config cfg;
-  cfg.cycle_shooting = false;
   return cfg;
 }
 
@@ -139,7 +125,6 @@ struct EngineResult {
   double fallback_rate = 0.0;
   double warm_start_rate = 0.0;
   double converged_rate = 0.0;
-  double shooting_rate = 0.0;  ///< used_shooting / solves (v2 cycle path)
   /// Per-candidate wall seconds and class, index-aligned with the flattened
   /// stream — lets the harness split the solve path from the cycle path.
   std::vector<double> per_solve_seconds;
@@ -153,7 +138,7 @@ EngineResult run_engine(const C3Config& cfg,
   const C3Model model(cfg);
   EngineResult r;
   std::size_t iterations = 0, rhs = 0, factorizations = 0;
-  std::size_t fallbacks = 0, warm = 0, converged = 0, shooting = 0;
+  std::size_t fallbacks = 0, warm = 0, converged = 0;
 
   const auto t0 = clock::now();
   for (const auto& generation : stream) {
@@ -176,7 +161,6 @@ EngineResult run_engine(const C3Config& cfg,
       fallbacks += ss.used_integration_fallback;
       warm += ss.warm_started;
       converged += ss.converged;
-      shooting += ss.used_shooting;
       r.per_solve_seconds.push_back(seconds[i]);
       r.oscillatory.push_back(ss.oscillatory);
     }
@@ -191,12 +175,11 @@ EngineResult run_engine(const C3Config& cfg,
   r.fallback_rate = static_cast<double>(fallbacks) / n;
   r.warm_start_rate = static_cast<double>(warm) / n;
   r.converged_rate = static_cast<double>(converged) / n;
-  r.shooting_rate = static_cast<double>(shooting) / n;
   return r;
 }
 
 /// Throughput of one engine over the candidates both engines settled (no
-/// oscillation, no integration) — the Newton solve path this PR rebuilds.
+/// oscillation, no integration) — the optimized Newton solve path.
 /// The Hopf-adjacent candidates both engines resolve by integrating the
 /// limit cycle share that (physics-bound) cost equally; they are reported
 /// in the mixed aggregate instead, so neither number hides the other.
@@ -244,8 +227,6 @@ int main(int argc, char** argv) {
   const double min_speedup = rmp::bench::env_or_double("RMP_KINETICS_MIN_SPEEDUP", 0.0);
   const double min_rhs_reduction =
       rmp::bench::env_or_double("RMP_KINETICS_MIN_RHS_REDUCTION", 0.0);
-  const double min_v2_mixed =
-      rmp::bench::env_or_double("RMP_KINETICS_MIN_V2_MIXED", 0.0);
   const std::size_t pmo2_gens = env_or("RMP_KINETICS_PMO2_GENERATIONS", 6);
   const std::size_t pmo2_pop = env_or("RMP_KINETICS_PMO2_POPULATION", 8);
 
@@ -260,38 +241,22 @@ int main(int argc, char** argv) {
       baseline.wall_seconds, baseline.solves_per_sec,
       baseline.mean_newton_iterations, baseline.rhs_per_solve,
       baseline.factorizations_per_solve, 100.0 * baseline.fallback_rate);
-  const EngineResult v1 = run_engine(v1_config(), stream, threads);
-  std::printf(
-      "engine v1: %.3f s (%.0f solves/s), %.1f iters, %.1f rhs, %.2f lu "
-      "per solve, fallback %.1f%%, warm %.1f%%\n",
-      v1.wall_seconds, v1.solves_per_sec, v1.mean_newton_iterations,
-      v1.rhs_per_solve, v1.factorizations_per_solve, 100.0 * v1.fallback_rate,
-      100.0 * v1.warm_start_rate);
   const EngineResult optimized = run_engine(C3Config{}, stream, threads);
   std::printf(
-      "engine v2: %.3f s (%.0f solves/s), %.1f iters, %.1f rhs, %.2f lu "
-      "per solve, fallback %.1f%%, warm %.1f%%, shooting %.1f%%\n",
+      "optimized: %.3f s (%.0f solves/s), %.1f iters, %.1f rhs, %.2f lu "
+      "per solve, fallback %.1f%%, warm %.1f%%\n",
       optimized.wall_seconds, optimized.solves_per_sec,
       optimized.mean_newton_iterations, optimized.rhs_per_solve,
       optimized.factorizations_per_solve, 100.0 * optimized.fallback_rate,
-      100.0 * optimized.warm_start_rate, 100.0 * optimized.shooting_rate);
+      100.0 * optimized.warm_start_rate);
 
-  // Split the stream: a candidate belongs to the SOLVE PATH when no engine
-  // needed the limit-cycle machinery for it.  The remainder (the model's
-  // genuine photosynthetic-oscillation regime) is where v1 and v2 differ:
-  // v1 integrates a 400-unit window, v2 shoots the cycle.
+  // Split the stream: a candidate belongs to the SOLVE PATH when neither
+  // engine needed the limit-cycle window for it.
   std::vector<bool> settled(baseline.oscillatory.size());
-  std::size_t n_settled = 0, n_cycle = 0;
-  double v1_cycle_s = 0.0, v2_cycle_s = 0.0;
+  std::size_t n_settled = 0;
   for (std::size_t i = 0; i < settled.size(); ++i) {
-    settled[i] = !baseline.oscillatory[i] && !v1.oscillatory[i] &&
-                 !optimized.oscillatory[i];
+    settled[i] = !baseline.oscillatory[i] && !optimized.oscillatory[i];
     n_settled += settled[i];
-    if (v1.oscillatory[i] && optimized.oscillatory[i]) {
-      ++n_cycle;
-      v1_cycle_s += v1.per_solve_seconds[i];
-      v2_cycle_s += optimized.per_solve_seconds[i];
-    }
   }
   const double base_solve_s = solve_path_seconds(baseline, settled);
   const double opt_solve_s = solve_path_seconds(optimized, settled);
@@ -301,14 +266,6 @@ int main(int argc, char** argv) {
   const double rhs_reduction =
       optimized.rhs_per_solve > 0.0 ? baseline.rhs_per_solve / optimized.rhs_per_solve
                                     : 0.0;
-  // The v2 gates: mixed-workload wall against the PR-5 engine (identical
-  // Newton path, so the whole difference is the oscillatory tail), plus the
-  // cycle-path split for the record.
-  const double speedup_v2_mixed =
-      optimized.wall_seconds > 0.0 ? v1.wall_seconds / optimized.wall_seconds
-                                   : 0.0;
-  const double speedup_v2_cycle =
-      v2_cycle_s > 0.0 ? v1_cycle_s / v2_cycle_s : 0.0;
   std::printf(
       "solve path (%zu/%zu candidates): %.0f -> %.0f solves/s, speedup %.1fx\n",
       n_settled, settled.size(),
@@ -317,8 +274,6 @@ int main(int argc, char** argv) {
       speedup_solve_path);
   std::printf("mixed workload speedup (incl. oscillatory): %.1fx\n", speedup_mixed);
   std::printf("RHS-work reduction per solve: %.1fx\n", rhs_reduction);
-  std::printf("v2 vs v1 mixed workload: %.2fx  (cycle path %zu cands: %.2fx)\n",
-              speedup_v2_mixed, n_cycle, speedup_v2_cycle);
 
   // Determinism cross-check: every solver configuration must produce one
   // archive fingerprint regardless of island_threads.
@@ -327,18 +282,14 @@ int main(int argc, char** argv) {
     const char* name;
     C3Config cfg;
   };
-  C3Config v1_pool_off = v1_config();
-  v1_pool_off.warm_pool_capacity = 0;
-  C3Config v2_pool_off;  // shooting engine, pool disabled
-  v2_pool_off.warm_pool_capacity = 0;
-  // v1/v2 x pool off/on: the shooting path and its cycle anchors must keep
-  // the archive bit-identical for any thread count, with and without the
-  // pool that feeds warm restarts and exact-hit replays.
+  C3Config pool_off;
+  pool_off.warm_pool_capacity = 0;
+  // The defaults with the pool off and on: the archive must stay
+  // bit-identical for any thread count, with and without the pool that
+  // feeds warm starts and exact-hit replays.
   const DetRow rows[] = {{"baseline", baseline_config()},
-                         {"v1_pool_off", v1_pool_off},
-                         {"v1_pool_on", v1_config()},
-                         {"v2_pool_off", v2_pool_off},
-                         {"v2_pool_on", C3Config{}}};
+                         {"pool_off", pool_off},
+                         {"pool_on", C3Config{}}};
   bool thread_invariant = true;
   core::Json determinism = core::Json::object();
   for (const DetRow& row : rows) {
@@ -372,13 +323,12 @@ int main(int argc, char** argv) {
         .set("factorizations_per_solve", r.factorizations_per_solve)
         .set("fallback_rate", r.fallback_rate)
         .set("warm_start_rate", r.warm_start_rate)
-        .set("converged_rate", r.converged_rate)
-        .set("shooting_rate", r.shooting_rate);
+        .set("converged_rate", r.converged_rate);
   };
   const core::Json doc =
       core::Json::object()
           .set("benchmark", "kinetics_scaling")
-          .set("schema_version", 2)
+          .set("schema_version", 3)
           .set("config", core::Json::object()
                              .set("generations", generations)
                              .set("batch", batch)
@@ -387,7 +337,6 @@ int main(int argc, char** argv) {
                              .set("pmo2_generations", pmo2_gens)
                              .set("pmo2_population", pmo2_pop))
           .set("baseline", engine_json(baseline))
-          .set("engine_v1", engine_json(v1))
           .set("optimized", engine_json(optimized))
           .set("solve_path", core::Json::object()
                                  .set("candidates", n_settled)
@@ -403,14 +352,6 @@ int main(int argc, char** argv) {
           .set("speedup_solve_path", speedup_solve_path)
           .set("speedup_mixed", speedup_mixed)
           .set("rhs_reduction_per_solve", rhs_reduction)
-          .set("cycle_path", core::Json::object()
-                                 .set("candidates", n_cycle)
-                                 .set("v1_seconds", v1_cycle_s)
-                                 .set("v2_seconds", v2_cycle_s)
-                                 .set("v2_shooting_rate",
-                                      optimized.shooting_rate))
-          .set("speedup_v2_mixed", speedup_v2_mixed)
-          .set("speedup_v2_cycle", speedup_v2_cycle)
           .set("determinism_island_threads",
                core::Json::array().push_back(std::size_t{1}).push_back(
                    std::size_t{2}).push_back(std::size_t{8}))
@@ -438,12 +379,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: RHS-work reduction %.1fx below the %.1fx bar\n",
                  rhs_reduction, min_rhs_reduction);
-    return 1;
-  }
-  if (min_v2_mixed > 0.0 && speedup_v2_mixed < min_v2_mixed) {
-    std::fprintf(stderr,
-                 "error: v2 mixed-workload speedup %.2fx below the %.2fx bar\n",
-                 speedup_v2_mixed, min_v2_mixed);
     return 1;
   }
   return 0;

@@ -60,29 +60,18 @@ void BM_Hypervolume3dWfg(benchmark::State& state) {
 }
 BENCHMARK(BM_Hypervolume3dWfg)->Arg(20)->Arg(60);
 
-// The two production integrators on one stiff linear decay: ROW2 (steady-
-// state fallback, windowed cycle average) and ROS3 (the shooting path).
-void ode_step_kernel(benchmark::State& state, num::OdeMethod method) {
+// The production integrator (ROW2: steady-state fallback, windowed cycle
+// average) on one stiff linear decay.
+void BM_OdeStepRosenbrock(benchmark::State& state) {
   const num::OdeRhs decay = [](double, std::span<const double> y, num::Vec& d) {
     for (std::size_t i = 0; i < y.size(); ++i) d[i] = -y[i] * (1.0 + 100.0 * i);
   };
   const num::Vec y0(24, 1.0);
-  num::OdeOptions o;
-  o.method = method;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(num::integrate(decay, 0.0, y0, 1.0, o));
+    benchmark::DoNotOptimize(num::integrate(decay, 0.0, y0, 1.0));
   }
 }
-
-void BM_OdeStepRosenbrock(benchmark::State& state) {
-  ode_step_kernel(state, num::OdeMethod::kRosenbrockW);
-}
 BENCHMARK(BM_OdeStepRosenbrock);
-
-void BM_OdeStepRosenbrock3(benchmark::State& state) {
-  ode_step_kernel(state, num::OdeMethod::kRosenbrock3);
-}
-BENCHMARK(BM_OdeStepRosenbrock3);
 
 void BM_SteadyStateWarm(benchmark::State& state) {
   static const auto model = kinetics::make_model(kinetics::table1_scenario());

@@ -61,8 +61,11 @@ class Session {
   /// hook of Optimizer::run, preserved across the run-layer split.
   using Observer = std::function<void(const SessionProgress&)>;
 
-  /// Envelope schema version; bumped when the checkpoint layout changes.
-  static constexpr std::int64_t kStateVersion = 1;
+  /// Envelope schema version; bumped when the checkpoint layout or meaning
+  /// changes.  2: the kinetic warm pool holds steady-state roots only —
+  /// a version-1 pool may carry limit-cycle anchors, whose cycle averages
+  /// would otherwise load as Newton roots.
+  static constexpr std::int64_t kStateVersion = 2;
 
   /// Builds problem + optimizer from the spec and runs epoch 0
   /// (Optimizer::initialize, including the initial population's archive

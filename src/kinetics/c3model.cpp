@@ -9,7 +9,6 @@
 
 #include "moo/evalcache.hpp"
 #include "numeric/newton.hpp"
-#include "numeric/shooting.hpp"
 #include "numeric/workspace.hpp"
 
 namespace rmp::kinetics {
@@ -698,8 +697,7 @@ bool physical_state(std::span<const double> y, const C3Config& c) {
 }
 
 /// Uptake above which a root/cycle counts as a LIVING solution (see
-/// steady_state's ladder; shared with the exact-cycle short circuit so a
-/// pooled cycle is only returned directly when the original call returned it).
+/// steady_state's ladder).
 constexpr double kAliveUptake = 0.5;
 
 }  // namespace
@@ -776,7 +774,6 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     // modes); the linearly implicit Rosenbrock method takes ~100 steps per
     // leg where the explicit pair needs tens of thousands.
     num::OdeOptions iopts;
-    iopts.method = num::OdeMethod::kRosenbrockW;
     iopts.abs_tol = 1e-7;
     iopts.rel_tol = 1e-5;
     iopts.initial_step = 1e-3;
@@ -895,27 +892,6 @@ num::Vec C3Model::warm_extrapolated_start(const WarmStartPool::Entry& entry,
 TangentPrediction C3Model::predict_uptake(std::span<const double> mult) const {
   TangentPrediction pred;
   const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
-  {
-    // A strictly closer CYCLE anchor wins: inside the oscillatory shell the
-    // nearest root's tangent model extrapolates across the Hopf boundary and
-    // lies, while the neighbour's cycle-average observable is the honest
-    // zeroth-order estimate.  Ties (and equal-distance root entries) keep
-    // the root path — its tangent model carries first-order information.
-    const WarmStartPool::Hit chit = warm_pool_.nearest_cycle(mult);
-    if (chit.entry != nullptr) {
-      const double cyc_d2 = num::dist2(chit.entry->key, mult);
-      const bool closer =
-          hit.entry == nullptr || cyc_d2 < num::dist2(hit.entry->key, mult);
-      if (closer) {
-        pred.valid = true;
-        pred.cycle = true;
-        pred.dist2 = cyc_d2;
-        pred.exact = moo::bitwise_equal(chit.entry->key, mult);
-        pred.uptake = chit.entry->mean_uptake;
-        return pred;
-      }
-    }
-  }
   if (hit.entry == nullptr) return pred;
   pred.dist2 = num::dist2(hit.entry->key, mult);
   if (moo::bitwise_equal(hit.entry->key, mult)) {
@@ -951,16 +927,6 @@ void C3Model::note_living_solution(std::span<const double> mult,
   if (!core::in_deterministic_region()) warm_pool_.commit();
 }
 
-void C3Model::note_living_cycle(std::span<const double> mult,
-                                const num::Vec& average_state,
-                                const num::Vec& cycle_point, double period,
-                                double mean_uptake) const {
-  warm_pool_.record_cycle(mult, average_state, cycle_point, period,
-                          mean_uptake);
-  // Same commit discipline as note_living_solution.
-  if (!core::in_deterministic_region()) warm_pool_.commit();
-}
-
 void C3Model::commit_warm_starts() const {
   // A nested engine (a PMO2 island's NSGA-II) reaches its own generation
   // barrier while still inside the island parallel region; its commit must
@@ -971,73 +937,38 @@ void C3Model::commit_warm_starts() const {
 
 bool C3Model::pool_exact_lookup(std::span<const double> mult,
                                 SteadyState& out) const {
-  // Exact repeat of a pooled LIVING limit cycle: the original call for
-  // this key returned the cycle average (living cycles win the ladder at
-  // step 3), so returning the stored entry reproduces that report bitwise
-  // — mean_uptake is an orbit average, not co2_uptake(mean state), hence
-  // returned as stored rather than recomputed.  Dead cycle anchors stay in
-  // the pool for prescreen predictions but never short-circuit the ladder
-  // (the original call may have reported an earlier dead root instead).
+  // Exact repeat of a pooled candidate: the committed root IS this
+  // candidate's living root, so return it directly instead of re-iterating
+  // Newton from it.  Recomputing the uptake from (state, mult) reproduces
+  // the originally reported value bitwise (the accepting attempt computed
+  // it the same way), which is what lets an EvalCache hit stand in for a
+  // re-evaluation without perturbing the optimizer's trajectory.  The root
+  // is NOT restaged: the pool's pending set, and hence its aging, stays
+  // identical whether repeats are answered here or by a cache layer above.
   //
-  // Both hits fill `out` without allocating (beyond first-use growth of
+  // The hit fills `out` without allocating (beyond first-use growth of
   // out.state and the thread workspace): num::assign reuses capacity and
   // the residual scratch comes from the arena.  The allocation sentinel
   // holds this path to literally zero heap allocations once warm.
-  {
-    const WarmStartPool::Hit chit = warm_pool_.nearest_cycle(mult);
-    if (chit.entry != nullptr && chit.entry->mean_uptake > kAliveUptake &&
-        moo::bitwise_equal(chit.entry->key, mult)) {
-      num::assign(out.state, chit.entry->state);
-      out.co2_uptake = chit.entry->mean_uptake;
-      num::Workspace& ws = num::Workspace::thread_local_instance();
-      num::ScratchVec dydt(ws, kNumMetabolites);
-      derivatives(out.state, mult, dydt.get());
-      out.residual = num::norm_inf(dydt.get());
-      out.converged = true;
-      out.newton_iterations = 0;
-      out.rhs_evaluations = 1;
-      out.jacobian_factorizations = 0;
-      out.warm_started = true;
-      out.pool_exact_hit = true;
-      out.oscillatory = true;
-      out.used_integration_fallback = true;
-      out.used_shooting = true;
-      out.cycle_period = chit.entry->period;
-      return true;
-    }
+  const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
+  if (hit.entry == nullptr || !moo::bitwise_equal(hit.entry->key, mult)) {
+    return false;
   }
-  {
-    // Exact repeat of a pooled candidate: the committed root IS this
-    // candidate's living root, so return it directly instead of
-    // re-iterating Newton from it.  Recomputing the uptake from
-    // (state, mult) reproduces the originally reported value bitwise
-    // (the accepting attempt computed it the same way), which is what
-    // lets an EvalCache hit stand in for a re-evaluation without
-    // perturbing the optimizer's trajectory.  The root is NOT restaged:
-    // the pool's pending set, and hence its aging, stays identical
-    // whether repeats are answered here or by a cache layer above.
-    const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
-    if (hit.entry != nullptr && moo::bitwise_equal(hit.entry->key, mult)) {
-      num::assign(out.state, hit.entry->state);
-      out.co2_uptake = co2_uptake(out.state, mult);
-      num::Workspace& ws = num::Workspace::thread_local_instance();
-      num::ScratchVec dydt(ws, kNumMetabolites);
-      derivatives(out.state, mult, dydt.get());
-      out.residual = num::norm_inf(dydt.get());
-      out.converged = true;
-      out.newton_iterations = 0;
-      out.rhs_evaluations = 1;
-      out.jacobian_factorizations = 0;
-      out.warm_started = true;
-      out.pool_exact_hit = true;
-      out.oscillatory = false;
-      out.used_integration_fallback = false;
-      out.used_shooting = false;
-      out.cycle_period = 0.0;
-      return true;
-    }
-  }
-  return false;
+  num::assign(out.state, hit.entry->state);
+  out.co2_uptake = co2_uptake(out.state, mult);
+  num::Workspace& ws = num::Workspace::thread_local_instance();
+  num::ScratchVec dydt(ws, kNumMetabolites);
+  derivatives(out.state, mult, dydt.get());
+  out.residual = num::norm_inf(dydt.get());
+  out.converged = true;
+  out.newton_iterations = 0;
+  out.rhs_evaluations = 1;
+  out.jacobian_factorizations = 0;
+  out.warm_started = true;
+  out.pool_exact_hit = true;
+  out.oscillatory = false;
+  out.used_integration_fallback = false;
+  return true;
 }
 
 void C3Model::steady_state_into(std::span<const double> mult,
@@ -1149,119 +1080,34 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
   return finalize(std::move(last));
 }
 
-SteadyState C3Model::cycle_shoot(std::span<const double> start,
-                                 std::span<const double> mult) const {
-  SteadyState ss;
+namespace {
 
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
-  const auto uptake_fn = [this, mult](std::span<const double> y) {
-    return co2_uptake(y, mult);
-  };
-  const num::CycleObservable observable = uptake_fn;
+// The cycle-average window, in model time units (s).  Fixed numerics, not
+// options: every oscillatory answer and golden fingerprint depends on them.
+/// Transient skipped before sampling starts.
+constexpr double kCycleTransient = 400.0;
+/// Samples averaged, one at the end of each kCycleSampleDt leg.
+constexpr int kCycleSamples = 40;
+/// Spacing of the samples (the window spans kCycleSamples * kCycleSampleDt).
+constexpr double kCycleSampleDt = 10.0;
+/// ROW2 tolerances on the orbit, a decade looser than the steady-state
+/// fallback's integration legs.
+constexpr double kCycleAbsTol = 1e-6;
+constexpr double kCycleRelTol = 1e-4;
+/// Largest ROW2 step; binds only on the transient, the sample legs are
+/// shorter.
+constexpr double kCycleMaxStep = 20.0;
 
-  num::ShootingOptions sopts;
-  // The third-order Rosenbrock rides the stiff orbit at a fraction of the
-  // step-doubling ROW2 cost; tolerances match the windowed fallback — the
-  // drift-tolerant acceptance below budgets a per-period family migration
-  // of order 1 mmol/l, so flights resolved to ~1e-2 absolute are already an
-  // order of magnitude inside the quantity being measured, and each decade
-  // of extra tolerance costs ~2x the steps on a 3rd-order method.  This is
-  // where the shooting path earns its speed: ~3 one-period flights plus a
-  // one-period averaging pass against the windowed fallback's ~18 periods
-  // at the SAME per-step cost.
-  sopts.ode.method = num::OdeMethod::kRosenbrock3;
-  sopts.ode.abs_tol = 1e-6;
-  sopts.ode.rel_tol = 1e-4;
-  sopts.ode.initial_step = 1e-3;
-  sopts.ode.state_floor = 0.0;
-  sopts.ode.max_step = 20.0;
-  if (config_.analytic_jacobian) sopts.ode.jacobian = jacobian_fn;
-  // The pseudo-cycle drift budget is the solver default (see
-  // C3Config::cycle_shooting).  Each aligned round is one PLAIN period
-  // flight, and doubles as relaxation — the fast modes contract every
-  // round — so a generous round cap is the cheap choice: a warm restart
-  // from a far-away pooled anchor that needs 10-12 rounds still costs a
-  // fraction of timing out into the cold bootstrap (a 400-unit transient
-  // plus a 240-unit period scan) it would otherwise trigger.
-  sopts.max_iterations = 16;
-  // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
-  // mmol/l.  Two forces size it.  Downward pressure is answer quality — a
-  // snapshot whose fast modes still carry eps contaminates the cycle
-  // average by O(eps), and the differential harness holds shooting-vs-
-  // window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
-  // inside.  Upward pressure is the fast contraction rate: candidates sit
-  // near the Hopf shell where the radial multiplier is only ~0.5/period,
-  // so each decade of extra strictness costs 3-4 more full-period rounds
-  // on every warm restart (measured: a 3e-2 gate pushed warm solves to
-  // 4-8 rounds and timed a third of them out into the cold path, erasing
-  // the shooting advantage outright).
-  sopts.tolerance = 2e-4;
-
-  const auto shoot = [&](std::span<const double> y0, double period) {
-    return num::solve_limit_cycle(rhs, y0, period, sopts, observable);
-  };
-
-  num::ShootingResult cyc;
-  // Warm restart: the nearest pooled cycle anchor's on-orbit point and
-  // period.  Pure function of (candidate, snapshot), like every warm start.
-  const WarmStartPool::Hit hit = warm_pool_.nearest_cycle(mult);
-  if (hit.entry != nullptr) {
-    cyc = shoot(hit.entry->cycle_point, hit.entry->period);
-  }
-  if (!cyc.converged) {
-    // Cold bootstrap: ride out the transient, then read (y0, T) off the
-    // most-oscillatory coordinate's mean crossings.  Both legs only need to
-    // land NEAR the attractor — the aligned-Picard rounds do the precision
-    // work.
-    num::Vec y(start.begin(), start.end());
-    const num::OdeResult leg = num::integrate(rhs, 0.0, y, 400.0, sopts.ode);
-    if (!leg.success || !num::all_finite(leg.y)) return ss;
-    const num::PeriodEstimate est =
-        num::estimate_period(rhs, leg.y, 240.0, 0.5, sopts.ode);
-    if (!est.valid) return ss;
-    cyc = shoot(est.anchor_state, est.period);
-  }
-  if (!cyc.converged || !physical_state(cyc.average_state, config_)) return ss;
-
-  ss.state = cyc.average_state;
-  ss.co2_uptake = cyc.average_observable;
-  num::Vec d(kNumMetabolites);
-  derivatives(ss.state, mult, d);
-  ss.residual = num::norm_inf(d);
-  ss.converged = true;
-  ss.oscillatory = true;
-  ss.used_integration_fallback = true;
-  ss.used_shooting = true;
-  ss.cycle_period = cyc.period;
-  // Every converged physical cycle becomes a pool anchor — living ones feed
-  // the exact-hit short circuit and warm restarts, dead ones give the
-  // prescreen honest low-uptake predictions inside the oscillatory shell.
-  note_living_cycle(mult, ss.state, cyc.cycle_state, cyc.period, ss.co2_uptake);
-  return ss;
-}
+}  // namespace
 
 SteadyState C3Model::cycle_average(std::span<const double> start,
                                    std::span<const double> mult) const {
-  if (config_.cycle_shooting) {
-    SteadyState shot = cycle_shoot(start, mult);
-    if (shot.converged) return shot;
-  }
-
   num::OdeOptions iopts;
-  iopts.method = num::OdeMethod::kRosenbrockW;
-  iopts.abs_tol = 1e-6;
-  iopts.rel_tol = 1e-4;
+  iopts.abs_tol = kCycleAbsTol;
+  iopts.rel_tol = kCycleRelTol;
   iopts.initial_step = 1e-3;
   iopts.state_floor = 0.0;
-  iopts.max_step = 20.0;
+  iopts.max_step = kCycleMaxStep;
   const auto jacobian_fn = [this, mult](double, std::span<const double> y,
                                         num::Matrix& jac) {
     jacobian_at(y, mult, jac);
@@ -1279,29 +1125,27 @@ SteadyState C3Model::cycle_average(std::span<const double> start,
   SteadyState ss;
   // Skip the initial transient, then average over a sampling window.
   num::Vec y(start.begin(), start.end());
-  num::OdeResult leg = num::integrate(rhs, 0.0, y, 400.0, iopts);
+  num::OdeResult leg = num::integrate(rhs, 0.0, y, kCycleTransient, iopts);
   if (!leg.success || !num::all_finite(leg.y)) return ss;
   y = leg.y;
 
   num::Vec mean_state(kNumMetabolites, 0.0);
   double mean_uptake = 0.0;
-  constexpr int kSamples = 40;
-  constexpr double kDt = 10.0;
-  double t = 400.0;
-  for (int s = 0; s < kSamples; ++s) {
+  double t = kCycleTransient;
+  for (int s = 0; s < kCycleSamples; ++s) {
     // Step-size continuation across sampling windows: without it every
     // window re-ramps the adaptive step from 1e-3, which used to cost more
     // steps than the windows themselves.
     if (leg.last_step > 0.0) iopts.initial_step = leg.last_step;
-    leg = num::integrate(rhs, t, y, t + kDt, iopts);
+    leg = num::integrate(rhs, t, y, t + kCycleSampleDt, iopts);
     if (!leg.success || !num::all_finite(leg.y)) return ss;
     y = leg.y;
     t = leg.t;
     num::add_inplace(mean_state, y);
     mean_uptake += co2_uptake(y, mult);
   }
-  num::scale_inplace(mean_state, 1.0 / kSamples);
-  mean_uptake /= kSamples;
+  num::scale_inplace(mean_state, 1.0 / kCycleSamples);
+  mean_uptake /= kCycleSamples;
 
   ss.state = std::move(mean_state);
   ss.co2_uptake = mean_uptake;

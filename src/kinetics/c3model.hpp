@@ -161,19 +161,6 @@ struct C3Config {
   /// Capacity of the epoch-committed warm-start pool (0 disables it and
   /// every candidate cold-starts through the anchor ladder).
   std::size_t warm_pool_capacity = 64;
-  /// Oscillatory candidates: solve the limit cycle by periodic-orbit
-  /// shooting (aligned-Picard rounds on (y0, T), see num::solve_limit_cycle)
-  /// and average over exactly one converged period, warm-restarting from
-  /// pooled cycle anchors.  The C3 oscillatory shell has NO isolated limit
-  /// cycle — serine accumulates as a near-conserved photorespiratory pool,
-  /// so the orbit drifts along a one-parameter family of pseudo-cycles — and
-  /// the solver's default drift budget accepts a phase-aligned snapshot of
-  /// the current pseudo-cycle: the same semantics as the windowed average,
-  /// which is equally a snapshot of that drift.  When false — or whenever
-  /// the shooting solver gives up — the PR-5 windowed long integration runs
-  /// instead, so classifications never depend on this knob, only cost and
-  /// the averaging window do.
-  bool cycle_shooting = true;
 
   // --- reporting ------------------------------------------------------------
   /// Converts net stromal fixation (mmol l^-1 s^-1) to leaf-area CO2 uptake
@@ -231,11 +218,6 @@ struct SteadyState {
   /// is what leaf gas-exchange instruments measure during photosynthetic
   /// oscillations).
   bool oscillatory = false;
-  /// True when an oscillatory result came from the shooting limit-cycle
-  /// solver (one converged period) rather than the windowed integration.
-  bool used_shooting = false;
-  /// Converged cycle period (time units); 0 unless used_shooting.
-  double cycle_period = 0.0;
 };
 
 /// First-order uptake prediction from the warm-start pool's tangent models
@@ -257,10 +239,6 @@ struct TangentPrediction {
   /// linearization left its own neighbourhood: trust predictions only when
   /// step2 is small.  0 for exact hits.
   double step2 = 0.0;
-  /// The prediction came from a CYCLE anchor: `uptake` is the neighbour's
-  /// stored cycle-average observable (zeroth order — no tangent model for
-  /// cycles), and step2 is 0.  Callers should use a tighter trust radius.
-  bool cycle = false;
 };
 
 class C3Model {
@@ -336,8 +314,8 @@ class C3Model {
 
   /// Checkpoint seam for the pool (const like commit_warm_starts, and for
   /// the same reason: the pool is mutable accelerator state).  Forwards to
-  /// WarmStartPool::save_state / load_state — roots and cycle anchors
-  /// round-trip, the lazily-built LU caches rebuild on demand.
+  /// WarmStartPool::save_state / load_state — roots round-trip, the
+  /// lazily-built LU caches rebuild on demand.
   void save_pool_state(core::Json& out) const { warm_pool_.save_state(out); }
   void load_pool_state(const core::Json& doc) const {
     warm_pool_.load_state(doc);
@@ -360,10 +338,10 @@ class C3Model {
                                        std::span<const double> mult,
                                        bool allow_fallback) const;
 
-  /// Exact-key (bitwise) pool short circuits shared by steady_state and
-  /// steady_state_into: a pooled LIVING cycle's stored average, or a pooled
-  /// root returned directly.  Fills `out` in place — no allocation beyond
-  /// what growing out.state's capacity needs — and returns true on a hit.
+  /// Exact-key (bitwise) pool short circuit shared by steady_state and
+  /// steady_state_into: a pooled root returned directly.  Fills `out` in
+  /// place — no allocation beyond what growing out.state's capacity needs —
+  /// and returns true on a hit.
   /// Work counters in `out` reflect only this lookup (one RHS evaluation).
   bool pool_exact_lookup(std::span<const double> mult, SteadyState& out) const;
 
@@ -378,14 +356,6 @@ class C3Model {
   void note_living_solution(std::span<const double> mult,
                             const num::Vec& state) const;
 
-  /// Stages a converged limit cycle (average state, on-orbit point, period,
-  /// mean uptake) as a pool cycle anchor; same commit discipline as
-  /// note_living_solution.
-  void note_living_cycle(std::span<const double> mult,
-                         const num::Vec& average_state,
-                         const num::Vec& cycle_point, double period,
-                         double mean_uptake) const;
-
   /// Start vector from a pool hit: one implicit-function (chord) step from
   /// the neighbour's root using its lazily-cached LU — the rate laws are
   /// linear in the multipliers, so this is the exact first-order tangent
@@ -397,19 +367,11 @@ class C3Model {
 
   void build_anchors();
 
-  /// Time-averaged state/uptake of a limit cycle: the shooting solver when
-  /// config_.cycle_shooting (one converged period, pooled cycle anchors as
-  /// warm restarts), falling back to the windowed long integration whenever
-  /// shooting gives up — so the classification never depends on the knob.
+  /// Time-averaged state/uptake of a limit cycle: ride out a fixed
+  /// transient, then average evenly spaced samples over a fixed window
+  /// (the constants sit next to the definition).
   [[nodiscard]] SteadyState cycle_average(std::span<const double> start,
                                           std::span<const double> mult) const;
-
-  /// The shooting leg of cycle_average: bootstrap (y0, T) from a pooled
-  /// cycle anchor or estimate_period on the post-transient orbit, run
-  /// num::solve_limit_cycle, and — on a converged physical cycle — stage it
-  /// as a pool anchor.  converged = false means "fall back to the window".
-  [[nodiscard]] SteadyState cycle_shoot(std::span<const double> start,
-                                        std::span<const double> mult) const;
 
   /// Newton-only attempt from one starting state (no integration).
   [[nodiscard]] SteadyState newton_attempt(std::span<const double> start,

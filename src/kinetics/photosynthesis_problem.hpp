@@ -46,11 +46,6 @@ struct PhotosynthesisBounds {
   /// Trust region: squared multiplier-space distance beyond which the
   /// tangent extrapolation is not trusted to decide a skip.
   double prescreen_radius2 = 1.0;
-  /// Trust region for CYCLE-anchor predictions (TangentPrediction::cycle):
-  /// the stored cycle-average uptake is a zeroth-order estimate — no tangent
-  /// model corrects it toward the candidate — so skips demand a tighter
-  /// neighbourhood than the first-order root predictions get.
-  double cycle_prescreen_radius2 = 0.25;
 };
 
 class PhotosynthesisProblem final : public moo::Problem {
@@ -78,8 +73,8 @@ class PhotosynthesisProblem final : public moo::Problem {
   /// full_evaluations (cache_hits stays 0 — the cache layer sits above).
   [[nodiscard]] moo::EvalStats eval_stats() const override;
 
-  /// Checkpoint seam: the model's warm-start pool (roots + cycle anchors;
-  /// LU caches are derived state and rebuild on demand) plus the
+  /// Checkpoint seam: the model's warm-start pool (roots; LU caches are
+  /// derived state and rebuild on demand) plus the
   /// instrumentation counters — restoring the counters is what makes a
   /// resumed run's EvalStats totals identical to the uninterrupted run's.
   void save_state(core::Json& out) const override;
@@ -96,11 +91,10 @@ class PhotosynthesisProblem final : public moo::Problem {
   }
 
   /// Vetoes memoization of limit-cycle averages: a repeat of an oscillatory
-  /// candidate re-runs the solve ladder, and only LIVING cycles are backed
-  /// by the pool's exact-key short circuit (dead cycles re-shoot, and a
-  /// pool-evicted anchor falls back to the windowed average) — so repeats
-  /// are not bitwise-guaranteed and the veto stays conservative.  Steady
-  /// roots are pooled and reproduced bitwise, so only those are memoizable.
+  /// candidate re-runs the solve ladder, whose cheap attempts start from a
+  /// pool snapshot that may have moved, so repeats are not
+  /// bitwise-guaranteed.  Steady roots are pooled and reproduced bitwise,
+  /// so only those are memoizable.
   /// (Per-thread state, read by the caching decorator straight after
   /// evaluate() on the same thread.)
   [[nodiscard]] bool last_result_memoizable() const override;
@@ -120,7 +114,6 @@ class PhotosynthesisProblem final : public moo::Problem {
   double min_uptake_;
   double prescreen_margin_;
   double prescreen_radius2_;
-  double cycle_prescreen_radius2_;
   /// Runtime prescreen switch; mutable+atomic because toggling it (and the
   /// counters below) is instrumentation, not an observable result change —
   /// evaluate() stays const and concurrency-safe.

@@ -25,15 +25,6 @@ bool WarmStartPool::nearest(std::span<const double> key, num::Vec& start) const 
 }
 
 WarmStartPool::Hit WarmStartPool::nearest_entry(std::span<const double> key) const {
-  return nearest_matching(key, /*want_cycle=*/false);
-}
-
-WarmStartPool::Hit WarmStartPool::nearest_cycle(std::span<const double> key) const {
-  return nearest_matching(key, /*want_cycle=*/true);
-}
-
-WarmStartPool::Hit WarmStartPool::nearest_matching(std::span<const double> key,
-                                                   bool want_cycle) const {
   std::shared_ptr<const Snapshot> snap;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -42,17 +33,15 @@ WarmStartPool::Hit WarmStartPool::nearest_matching(std::span<const double> key,
   Hit hit;
   if (!snap || snap->empty()) return hit;
 
-  std::size_t best = snap->size();
-  double best_d2 = 0.0;
-  for (std::size_t i = 0; i < snap->size(); ++i) {
-    if ((*snap)[i]->cycle != want_cycle) continue;
+  std::size_t best = 0;
+  double best_d2 = num::dist2((*snap)[0]->key, key);
+  for (std::size_t i = 1; i < snap->size(); ++i) {
     const double d2 = num::dist2((*snap)[i]->key, key);
-    if (best == snap->size() || d2 < best_d2) {  // strict: ties keep the lowest index
+    if (d2 < best_d2) {  // strict: ties keep the lowest index
       best_d2 = d2;
       best = i;
     }
   }
-  if (best == snap->size()) return hit;
   hit.pin = (*snap)[best];
   hit.entry = hit.pin.get();
   return hit;
@@ -65,23 +54,6 @@ void WarmStartPool::record(std::span<const double> key,
   e->key.assign(key.begin(), key.end());
   e->state.assign(state.begin(), state.end());
   e->root_cache = std::make_shared<RootCache>();
-  const std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back(std::move(e));
-}
-
-void WarmStartPool::record_cycle(std::span<const double> key,
-                                 std::span<const double> average_state,
-                                 std::span<const double> cycle_point,
-                                 double period, double mean_uptake) {
-  if (capacity_ == 0) return;
-  auto e = std::make_shared<Entry>();
-  e->key.assign(key.begin(), key.end());
-  e->state.assign(average_state.begin(), average_state.end());
-  e->root_cache = std::make_shared<RootCache>();
-  e->cycle = true;
-  e->period = period;
-  e->cycle_point.assign(cycle_point.begin(), cycle_point.end());
-  e->mean_uptake = mean_uptake;
   const std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back(std::move(e));
 }
@@ -136,19 +108,6 @@ std::size_t WarmStartPool::snapshot_size() const {
   return snapshot_ ? snapshot_->size() : 0;
 }
 
-std::size_t WarmStartPool::snapshot_cycle_count() const {
-  std::shared_ptr<const Snapshot> snap;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    snap = snapshot_;
-  }
-  if (!snap) return 0;
-  std::size_t n = 0;
-  for (const auto& e : *snap)
-    if (e->cycle) ++n;
-  return n;
-}
-
 std::size_t WarmStartPool::pending_size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
@@ -169,11 +128,6 @@ void WarmStartPool::save_state(core::Json& out) const {
       core::Json entry = core::Json::object();
       entry.set("key", state::doubles_to_json(e->key));
       entry.set("state", state::doubles_to_json(e->state));
-      if (e->cycle) {
-        entry.set("cycle_point", state::doubles_to_json(e->cycle_point));
-        entry.set("period", core::Json::bits(e->period));
-        entry.set("mean_uptake", core::Json::bits(e->mean_uptake));
-      }
       entries.push_back(std::move(entry));
     }
   }
@@ -200,12 +154,6 @@ void WarmStartPool::load_state(const core::Json& doc) {
     e->key = state::doubles_from_json(state::require(item, "key"));
     e->state = state::doubles_from_json(state::require(item, "state"));
     e->root_cache = std::make_shared<RootCache>();
-    if (const core::Json* point = item.find("cycle_point")) {
-      e->cycle = true;
-      e->cycle_point = state::doubles_from_json(*point);
-      e->period = state::require(item, "period").as_double_bits();
-      e->mean_uptake = state::require(item, "mean_uptake").as_double_bits();
-    }
     next->push_back(std::move(e));
   }
   const std::lock_guard<std::mutex> lock(mu_);

@@ -67,27 +67,14 @@ class WarmStartPool {
   /// share entries by pointer and a commit costs pointer copies, not deep
   /// Vec copies — serial callers commit after EVERY solve.
   ///
-  /// Two entry kinds share the pool:
-  ///   * roots (cycle == false): `state` is a genuine steady state; the
-  ///     Newton-start machinery (nearest_entry, tangent extrapolation,
-  ///     root_cache) consumes ONLY these — handing a cycle AVERAGE to
-  ///     Newton just burns the quick attempt (PR-5 finding);
-  ///   * cycle anchors (cycle == true): the candidate orbits a limit
-  ///     cycle.  `state` holds the time-weighted cycle-average state,
-  ///     `cycle_point` a point ON the orbit with its `period` — the warm
-  ///     restart for the shooting solver — and `mean_uptake` the
-  ///     cycle-averaged observable, the prescreen's zeroth-order
-  ///     prediction inside the oscillatory shell.
+  /// Every entry is a genuine steady state: a limit-cycle AVERAGE is never
+  /// recorded, because handing one to Newton as a start just burns the
+  /// quick attempt.
   struct Entry {
     num::Vec key;    ///< the candidate (enzyme multipliers)
-    num::Vec state;  ///< steady state (roots) / cycle-average state (cycles)
-    /// Shared, lazily-filled root cache (never null for committed entries;
-    /// unused — never built — for cycle anchors).
+    num::Vec state;  ///< steady state
+    /// Shared, lazily-filled root cache (never null for committed entries).
     std::shared_ptr<RootCache> root_cache;
-    bool cycle = false;
-    double period = 0.0;       ///< cycle anchors only
-    num::Vec cycle_point;      ///< a point on the orbit (shooting start)
-    double mean_uptake = 0.0;  ///< cycle-averaged observable
   };
 
   /// A nearest() hit that keeps its entry alive even if a commit swaps the
@@ -101,32 +88,20 @@ class WarmStartPool {
   /// (record/commit become no-ops, nearest always misses).
   explicit WarmStartPool(std::size_t capacity = 64) : capacity_(capacity) {}
 
-  /// Nearest committed ROOT entry to `key` by squared Euclidean distance,
-  /// ties broken toward the lowest snapshot index; false when the snapshot
-  /// has no roots (or the pool disabled).  `start` receives a copy of the
+  /// Nearest committed entry to `key` by squared Euclidean distance, ties
+  /// broken toward the lowest snapshot index; false when the snapshot is
+  /// empty (or the pool disabled).  `start` receives a copy of the
   /// state.  Pure function of (key, snapshot) — safe and deterministic from
   /// any number of threads between commits.
   bool nearest(std::span<const double> key, num::Vec& start) const;
 
   /// Like nearest(), but hands back the entry itself (state + tangent cell)
-  /// with its snapshot pinned, so the caller can extrapolate.  Roots only.
+  /// with its snapshot pinned, so the caller can extrapolate.
   [[nodiscard]] Hit nearest_entry(std::span<const double> key) const;
-
-  /// Nearest committed CYCLE anchor (same metric and tie rule); entry ==
-  /// nullptr when the snapshot holds no cycles.
-  [[nodiscard]] Hit nearest_cycle(std::span<const double> key) const;
 
   /// Stages (key, state) for the next commit.  Thread-safe; the snapshot is
   /// untouched, so concurrent nearest() calls stay deterministic.
   void record(std::span<const double> key, std::span<const double> state);
-
-  /// Stages a limit-cycle anchor: the cycle-average state, a point on the
-  /// orbit with its period (the shooting restart), and the cycle-averaged
-  /// observable.  Same epoch discipline as record().
-  void record_cycle(std::span<const double> key,
-                    std::span<const double> average_state,
-                    std::span<const double> cycle_point, double period,
-                    double mean_uptake);
 
   /// Serial barrier: folds the staged pairs into a new snapshot.  Pending
   /// entries are sorted lexicographically by key and deduplicated (same-key
@@ -143,8 +118,7 @@ class WarmStartPool {
   /// Serializes the committed snapshot in snapshot order — the order is
   /// semantic (nearest() breaks distance ties toward the lowest index and
   /// capacity eviction is FIFO off the front), so it must survive the
-  /// round-trip.  Roots save (key, state); cycle anchors additionally save
-  /// (cycle_point, period, mean_uptake).  The per-entry RootCache LU
+  /// round-trip.  Each entry saves (key, state).  The per-entry RootCache LU
   /// factorizations are deliberately NOT serialized: each is a lazily-built
   /// pure function of its own entry (call_once at first use), i.e. derived
   /// state — a resumed run rebuilds them on demand and every solve still
@@ -159,14 +133,10 @@ class WarmStartPool {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t snapshot_size() const;
-  [[nodiscard]] std::size_t snapshot_cycle_count() const;
   [[nodiscard]] std::size_t pending_size() const;
 
  private:
   using Snapshot = std::vector<std::shared_ptr<const Entry>>;
-
-  [[nodiscard]] Hit nearest_matching(std::span<const double> key,
-                                     bool want_cycle) const;
 
   std::size_t capacity_;
   mutable std::mutex mu_;  ///< guards snapshot_ (pointer swap) and pending_

@@ -168,156 +168,12 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
       }
       res.y[n_user] = res.t;  // keep the time state exact
       ++res.steps;
-      if (opts.step_observer) {
-        opts.step_observer(res.t, h,
-                           std::span<const double>(res.y.data(), n_user));
-      }
       const double factor =
           en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
       h = std::clamp(h * factor, opts.min_step, opts.max_step);
     } else {
       ++res.rejected;
       h *= 0.5;
-      if (h < opts.min_step) {
-        res.y.pop_back();
-        return res;
-      }
-    }
-  }
-  res.success = res.t >= t_end;
-  res.y.pop_back();  // strip the internal time state
-  return res;
-}
-
-// --- ROS3: 3-stage, order 3(2), L-stable Rosenbrock (Sandu et al., the KPP
-// coefficient set).  Two RHS evaluations and one LU factorization per step:
-// a31 = a21 and a32 = 0 make the second and third stage share one F
-// evaluation, and the embedded second-order solution reuses the stage
-// slopes, so error control costs nothing extra (unlike the ROS2 driver's
-// step-doubling, which integrates every interval three times).  This is the
-// limit-cycle integration path: cycle averaging integrates long horizons at
-// moderate tolerance, exactly where an embedded order-3 estimate beats an
-// order-2 Richardson loop.
-constexpr double kRos3Gamma = 0.43586652150845899941601945119356;
-constexpr double kRos3A21 = 1.0;
-constexpr double kRos3C21 = -1.0156171083877702091975600115545;
-constexpr double kRos3C31 = 4.0759956452537699824805835358067;
-constexpr double kRos3C32 = 9.2076794298330791242156818474003;
-constexpr double kRos3M1 = 1.0;
-constexpr double kRos3M2 = 6.1697947043828245592553615689730;
-constexpr double kRos3M3 = -0.42772256543218573326238373806514;
-constexpr double kRos3E1 = 0.5;
-constexpr double kRos3E2 = -2.9079558716805469821718236208017;
-constexpr double kRos3E3 = 0.22354069897811569627360909276199;
-
-OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
-                                std::span<const double> y0, double t_end,
-                                const OdeOptions& opts, Workspace& ws) {
-  const std::size_t n_user = y0.size();
-  ScratchVec inner_d(ws, n_user);
-  auto augmented = [&f_user, n_user, &inner_d](
-                       double, std::span<const double> y, Vec& d) {
-    inner_d.get().assign(n_user, 0.0);
-    f_user(y[n_user], y.first(n_user), inner_d.get());
-    for (std::size_t i = 0; i < n_user; ++i) d[i] = inner_d[i];
-    d[n_user] = 1.0;
-  };
-  const OdeRhs f = augmented;
-
-  OdeResult res;
-  res.y.assign(y0.begin(), y0.end());
-  res.y.push_back(t0);
-  res.t = t0;
-  const std::size_t n = res.y.size();
-
-  ScratchVec f0(ws, n), f1(ws, n), rhs(ws, n), y_stage(ws, n), y_new(ws, n),
-      err(ws, n), k1(ws, n), k2(ws, n), k3(ws, n);
-  ScratchMat j(ws, n, n), w(ws, n, n);
-  ScratchLu lu(ws);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
-  bool j_current = false;  // J is a function of y only; reuse across retries
-
-  while (res.t < t_end && res.steps < opts.max_steps) {
-    res.last_step = h;  // the controller's h, before end-of-interval truncation
-    h = std::min(h, t_end - res.t);
-
-    if (!j_current) {
-      rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
-                          res);
-      f0.get().assign(n, 0.0);
-      f(res.t, res.y, f0.get());
-      ++res.rhs_evals;
-      j_current = true;
-    }
-
-    // W = I/(h*gamma) - J (the KPP scaling: stage slopes carry units of y).
-    const double diag = 1.0 / (h * kRos3Gamma);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) w(r, c) = -j.get()(r, c);
-      w(r, r) += diag;
-    }
-    if (!lu.get().factor(w.get())) {
-      ++res.rejected;
-      h *= 0.5;
-      if (h < opts.min_step) {
-        res.y.pop_back();
-        return res;
-      }
-      continue;
-    }
-
-    // Stage 1: W k1 = F(Y).
-    lu.get().solve_into(f0, k1.get());
-    // Stage 2: Y2 = Y + a21 k1; W k2 = F(Y2) + (c21/h) k1.
-    y_stage.get() = res.y;
-    axpy(y_stage.get(), kRos3A21, k1);
-    f1.get().assign(n, 0.0);
-    f(res.t, y_stage, f1.get());
-    ++res.rhs_evals;
-    const double c21_h = kRos3C21 / h;
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = f1[i] + c21_h * k1[i];
-    lu.get().solve_into(rhs, k2.get());
-    // Stage 3: Y3 = Y2 (a31 = a21, a32 = 0) — F(Y3) = F(Y2), no new eval.
-    const double c31_h = kRos3C31 / h;
-    const double c32_h = kRos3C32 / h;
-    for (std::size_t i = 0; i < n; ++i) {
-      rhs[i] = f1[i] + c31_h * k1[i] + c32_h * k2[i];
-    }
-    lu.get().solve_into(rhs, k3.get());
-
-    bool finite = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      y_new[i] = res.y[i] + kRos3M1 * k1[i] + kRos3M2 * k2[i] + kRos3M3 * k3[i];
-      err[i] = kRos3E1 * k1[i] + kRos3E2 * k2[i] + kRos3E3 * k3[i];
-      finite = finite && std::isfinite(y_new[i]);
-    }
-    const double en = error_norm(err, res.y, y_new, opts.abs_tol, opts.rel_tol);
-
-    if (en <= 1.0 && finite) {
-      res.t += h;
-      res.y = y_new.get();
-      if (opts.state_floor > -1e299) {
-        for (std::size_t i = 0; i < n_user; ++i) {
-          res.y[i] = std::max(res.y[i], opts.state_floor);
-        }
-      }
-      res.y[n_user] = res.t;  // keep the time state exact
-      ++res.steps;
-      if (opts.step_observer) {
-        opts.step_observer(res.t, h,
-                           std::span<const double>(res.y.data(), n_user));
-      }
-      j_current = false;
-      const double factor =
-          en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
-      h = std::clamp(h * factor, opts.min_step, opts.max_step);
-    } else {
-      ++res.rejected;
-      const double factor =
-          finite && en > 0.0
-              ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.1, 0.9)
-              : 0.1;
-      h *= factor;
       if (h < opts.min_step) {
         res.y.pop_back();
         return res;
@@ -336,13 +192,7 @@ OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, doub
   assert(t_end >= t0);
   Workspace& ws =
       opts.workspace ? *opts.workspace : Workspace::thread_local_instance();
-  switch (opts.method) {
-    case OdeMethod::kRosenbrockW:
-      return integrate_rosenbrock(f, t0, y0, t_end, opts, ws);
-    case OdeMethod::kRosenbrock3:
-      return integrate_rosenbrock3(f, t0, y0, t_end, opts, ws);
-  }
-  return {};
+  return integrate_rosenbrock(f, t0, y0, t_end, opts, ws);
 }
 
 }  // namespace rmp::num

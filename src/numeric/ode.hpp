@@ -1,16 +1,12 @@
-// ODE initial-value-problem integrators for the stiff kinetic models.
+// ODE initial-value-problem integrator for the stiff kinetic models.
 //
 // The C3 carbon-metabolism model is a moderately stiff system of ~30 coupled
 // Michaelis-Menten rate equations; the paper's substrate (SUNDIALS-class
-// solvers) is reproduced here with two linearly implicit methods:
-//   * a 2nd-order Rosenbrock-W method (ROW2, step-doubling error control)
-//     for the stiff transients of the steady-state fallback and the
-//     windowed cycle average,
-//   * a 3rd-order L-stable Rosenbrock method (ROS3) with an embedded
-//     2nd-order error estimate (2 RHS evaluations + 1 factorization per
-//     step) — the kinetic limit-cycle integration path.
-// Both take a closed-form Jacobian when the caller supplies one and fall
-// back to forward differences otherwise.
+// solvers) is reproduced here with one linearly implicit method: a
+// 2nd-order L-stable Rosenbrock-W method (ROW2, step-doubling error
+// control) for the stiff transients of the steady-state fallback and the
+// windowed cycle average.  It takes a closed-form Jacobian when the caller
+// supplies one and falls back to forward differences otherwise.
 #pragma once
 
 #include <span>
@@ -34,26 +30,12 @@ using OdeRhs =
 /// zeroed.  Replaces the n+1 RHS evaluations a forward-difference build
 /// costs per step.  The df/dt part is treated as zero — exact for
 /// autonomous systems (the kinetic models), and safe for forced ones
-/// because both methods are W-methods: an inexact Jacobian costs step
-/// size, never correctness.
+/// because ROW2 is a W-method: an inexact Jacobian costs step size, never
+/// correctness.
 using OdeJacobian =
     FunctionRef<void(double t, std::span<const double> y, Matrix& jac)>;
 
-/// Observer invoked after every ACCEPTED step with (t_new, h_used, y_new);
-/// y spans the USER state (both methods strip their internal time
-/// augmentation first).  Rejected trials are never reported.
-/// The shooting solver rides this hook to propagate one variational
-/// direction alongside a flight; unset costs nothing.
-using OdeStepObserver =
-    FunctionRef<void(double t, double h, std::span<const double> y)>;
-
-enum class OdeMethod {
-  kRosenbrockW,  ///< linearly implicit order 2, for stiff systems
-  kRosenbrock3,  ///< linearly implicit order 3(2), L-stable; cycle path
-};
-
 struct OdeOptions {
-  OdeMethod method = OdeMethod::kRosenbrock3;
   double abs_tol = 1e-8;
   double rel_tol = 1e-6;
   double initial_step = 1e-3;
@@ -65,10 +47,8 @@ struct OdeOptions {
   double state_floor = -1e300;
   /// Closed-form Jacobian; null = finite differences (see OdeJacobian).
   OdeJacobian jacobian;
-  /// Per-accepted-step hook (see OdeStepObserver); null = no reporting.
-  OdeStepObserver step_observer;
   /// Scratch arena for stage vectors, Jacobians and LU storage.  Null = a
-  /// thread_local fallback arena; either way the integrators allocate
+  /// thread_local fallback arena; either way the integrator allocates
   /// nothing per step once the arena is warm.  Not owned; single-threaded.
   Workspace* workspace = nullptr;
 };
@@ -87,7 +67,7 @@ struct OdeResult {
   double last_step = 0.0;
 };
 
-/// Integrate y' = f(t, y) from (t0, y0) to t_end.
+/// Integrate y' = f(t, y) from (t0, y0) to t_end with ROW2.
 [[nodiscard]] OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0,
                                   double t_end, const OdeOptions& opts = {});
 

@@ -8,12 +8,12 @@
 // performed (new slot, or growth of an existing buffer past its capacity) so
 // tests can assert the hot path has gone quiet.
 //
-// Ownership rules (see docs/ARCHITECTURE.md, "kinetic engine v2"):
+// Ownership rules (see docs/ARCHITECTURE.md, "kinetic solver cores"):
 //   * a Workspace is single-threaded state — one per solve context, never
 //     shared across threads;
 //   * checkouts nest but must release in reverse order (the Scratch* guards
-//     enforce this in debug builds), which lets an outer driver (implicit
-//     Euler, shooting) hold buffers across an inner solve_newton call;
+//     enforce this in debug builds), which lets an outer loop (the ROW2
+//     step-doubling loop) hold buffers across its inner stage solves;
 //   * callers that pass no workspace get a thread_local fallback, so every
 //     entry point is allocation-free after warm-up without plumbing.
 //

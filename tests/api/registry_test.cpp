@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "moo/pmo2.hpp"
 #include "moo/testproblems.hpp"
@@ -104,6 +106,25 @@ TEST(ProblemRegistryTest, RejectsUnknownNamesScenariosAndParams) {
   EXPECT_THROW((void)reg.make("schaffer?n=3"), SpecError);     // takes none
   EXPECT_THROW((void)reg.make("photosynthesis?scenario=mars"), SpecError);
   EXPECT_THROW((void)reg.make("dtlz2?m=1"), SpecError);
+}
+
+TEST(ProblemRegistryTest, RemovedPhotosynthesisKeysAreRejectedByName) {
+  // The limit-cycle shooting switch and its prescreen radius no longer
+  // exist; a stale spec naming them must fail loudly, not be reinterpreted.
+  const auto& reg = ProblemRegistry::global();
+  const std::pair<std::string, std::string> cases[] = {
+      {"shooting", "on"}, {"cycle_prescreen_radius2", "0.25"}};
+  for (const auto& [key, value] : cases) {
+    const std::string ref = "photosynthesis?" + key + "=" + value;
+    try {
+      (void)reg.make(ref);
+      ADD_FAILURE() << ref << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown parameter \"" + key + "\""),
+                std::string::npos)
+          << "actual error: " << e.what();
+    }
+  }
 }
 
 TEST(OptimizerRegistryTest, EveryRegisteredNameConstructsAndSteps) {

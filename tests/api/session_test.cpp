@@ -228,6 +228,17 @@ TEST(SessionRejectionTest, WrongStateVersion) {
   expect_rejected(ckpt, "state_version");
 }
 
+TEST(SessionRejectionTest, VersionOneCheckpointIsRejected) {
+  // Written by the state_version-1 rmp_run from a two-generation
+  // present-high PMO2 spec with checkpoint_every: 1.  Its warm pool holds
+  // limit-cycle anchors this version would misread as Newton roots, so the
+  // resume must refuse it by name.
+  const core::Json ckpt = load_checkpoint_file(
+      std::string(RMP_TEST_DATA_DIR) + "/checkpoint_state_version1.json");
+  ASSERT_EQ(ckpt.at("state_version").as_int(), 1);
+  expect_rejected(ckpt, "state_version 1 is not the supported 2");
+}
+
 TEST(SessionRejectionTest, SpecHashMismatchNamesTheCause) {
   core::Json ckpt = checkpoint_of(zdt_spec(), 2);
   // A checkpoint whose spec echo was edited (different seed => different

@@ -62,9 +62,9 @@ constexpr GoldenRow kGolden[] = {
     {"past-low/plain", "past-low", 0, false, 0xc56cbbdf779291a6ULL},
     {"past-low/cache", "past-low", 4096, false, 0xc56cbbdf779291a6ULL},
     {"past-low/cache+prescreen", "past-low", 4096, true, 0xc56cbbdf779291a6ULL},
-    {"present-high/plain", "present-high", 0, false, 0xd226f93e4eb9946bULL},
-    {"present-high/cache", "present-high", 4096, false, 0xd226f93e4eb9946bULL},
-    {"present-high/cache+prescreen", "present-high", 4096, true, 0xd226f93e4eb9946bULL},
+    {"present-high/plain", "present-high", 0, false, 0x1a4ad22cb3618881ULL},
+    {"present-high/cache", "present-high", 4096, false, 0x1a4ad22cb3618881ULL},
+    {"present-high/cache+prescreen", "present-high", 4096, true, 0x1a4ad22cb3618881ULL},
 };
 
 TEST(GoldenFingerprintTest, ArchiveFingerprintsMatchCommittedTable) {

@@ -157,13 +157,11 @@ TEST(WarmStartPoolTest, ClearDropsSnapshotAndPending) {
   EXPECT_EQ(pool.pending_size(), 0u);
 }
 
-TEST(WarmStartPoolTest, StateRoundTripKeepsRootsCyclesAndTieOrder) {
+TEST(WarmStartPoolTest, StateRoundTripKeepsRootsAndTieOrder) {
   WarmStartPool a(8);
-  // Two roots committed in one batch (canonical order: (-1,0) then (1,0))
-  // plus one cycle anchor.
+  // Two roots committed in one batch (canonical order: (-1,0) then (1,0)).
   a.record(key1(1.0, 0.0), num::Vec{2.0});
   a.record(key1(-1.0, 0.0), num::Vec{1.0});
-  a.record_cycle(key1(4.0, 4.0), num::Vec{9.0}, num::Vec{8.5}, 2.25, 0.75);
   a.commit();
 
   core::Json doc = core::Json::object();
@@ -177,14 +175,6 @@ TEST(WarmStartPoolTest, StateRoundTripKeepsRootsCyclesAndTieOrder) {
   num::Vec start;
   ASSERT_TRUE(b.nearest(key1(0.0, 0.0), start));
   EXPECT_EQ(start, num::Vec{1.0});
-  // The cycle anchor round-trips with its orbit point, period, observable.
-  const WarmStartPool::Hit hit = b.nearest_cycle(key1(4.0, 4.0));
-  ASSERT_NE(hit.entry, nullptr);
-  EXPECT_TRUE(hit.entry->cycle);
-  EXPECT_EQ(hit.entry->state, num::Vec{9.0});
-  EXPECT_EQ(hit.entry->cycle_point, num::Vec{8.5});
-  EXPECT_EQ(hit.entry->period, 2.25);
-  EXPECT_EQ(hit.entry->mean_uptake, 0.75);
 }
 
 TEST(WarmStartPoolTest, SaveStateRequiresAnEpochBarrier) {

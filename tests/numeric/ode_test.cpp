@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <ostream>
 
 namespace rmp::num {
 namespace {
@@ -24,30 +23,19 @@ const OdeRhs kStiff = [](double t, std::span<const double> y, Vec& d) {
   d[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
 };
 
-struct MethodParam {
-  OdeMethod method;
-  double tolerance;  // acceptance tolerance on the final value
-};
+// Acceptance tolerance on the final value.
+constexpr double kTolerance = 1e-4;
 
-// Parameter printer: readable test names instead of the struct's raw bytes.
-[[maybe_unused]] void PrintTo(const MethodParam& p, std::ostream* os) {
-  *os << (p.method == OdeMethod::kRosenbrockW ? "RosenbrockW" : "Rosenbrock3");
-}
-
-class OdeMethodTest : public ::testing::TestWithParam<MethodParam> {};
-
-TEST_P(OdeMethodTest, ExponentialDecay) {
+TEST(OdeTest, ExponentialDecay) {
   OdeOptions opts;
-  opts.method = GetParam().method;
   opts.initial_step = 1e-3;
   const OdeResult r = integrate(kDecay, 0.0, Vec{1.0}, 2.0, opts);
   ASSERT_TRUE(r.success);
-  EXPECT_NEAR(r.y[0], std::exp(-2.0), GetParam().tolerance);
+  EXPECT_NEAR(r.y[0], std::exp(-2.0), kTolerance);
 }
 
-TEST_P(OdeMethodTest, OscillatorPhase) {
+TEST(OdeTest, OscillatorPhase) {
   OdeOptions opts;
-  opts.method = GetParam().method;
   opts.initial_step = 1e-3;
   opts.abs_tol = 1e-9;
   opts.rel_tol = 1e-8;
@@ -55,18 +43,12 @@ TEST_P(OdeMethodTest, OscillatorPhase) {
   const OdeResult r = integrate(kOscillator, 0.0, Vec{1.0, 0.0}, t_end, opts);
   ASSERT_TRUE(r.success);
   // After half a period the state is (-1, 0).
-  EXPECT_NEAR(r.y[0], -1.0, 50 * GetParam().tolerance);
-  EXPECT_NEAR(r.y[1], 0.0, 50 * GetParam().tolerance);
+  EXPECT_NEAR(r.y[0], -1.0, 50 * kTolerance);
+  EXPECT_NEAR(r.y[1], 0.0, 50 * kTolerance);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllMethods, OdeMethodTest,
-    ::testing::Values(MethodParam{OdeMethod::kRosenbrockW, 1e-4},
-                      MethodParam{OdeMethod::kRosenbrock3, 1e-4}));
 
 TEST(OdeTest, StiffProblemWithRosenbrock) {
   OdeOptions opts;
-  opts.method = OdeMethod::kRosenbrockW;
   opts.initial_step = 1e-4;
   opts.max_step = 0.5;
   const OdeResult r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
@@ -76,7 +58,6 @@ TEST(OdeTest, StiffProblemWithRosenbrock) {
 
 TEST(OdeTest, AdaptiveTightensWithTolerance) {
   OdeOptions loose;
-  loose.method = OdeMethod::kRosenbrock3;
   loose.abs_tol = 1e-4;
   loose.rel_tol = 1e-3;
   OdeOptions tight = loose;
@@ -93,7 +74,6 @@ TEST(OdeTest, AdaptiveTightensWithTolerance) {
 
 TEST(OdeTest, StateFloorEnforced) {
   OdeOptions opts;
-  opts.method = OdeMethod::kRosenbrock3;
   opts.state_floor = 0.0;
   // Aggressive decay would overshoot below zero with large steps; the floor
   // keeps concentrations physical.

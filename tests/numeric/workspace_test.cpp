@@ -1,4 +1,4 @@
-// Scratch-arena reuse contract (ARCHITECTURE.md, "kinetic engine v2"): a
+// Scratch-arena reuse contract (ARCHITECTURE.md, "kinetic solver cores"): a
 // Workspace warms up to its high-water capacity during the first solve of a
 // given shape, and every later same-shape solve through it performs ZERO
 // allocations — allocation_events() goes quiet.  Run under ASan in CI
@@ -6,21 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <ostream>
 #include <span>
 
 #include "numeric/newton.hpp"
 #include "numeric/ode.hpp"
-#include "numeric/shooting.hpp"
 #include "numeric/workspace.hpp"
 
 namespace rmp::num {
-
-// Parameter printer (found by ADL on OdeMethod): readable test names.
-[[maybe_unused]] static void PrintTo(OdeMethod m, std::ostream* os) {
-  *os << (m == OdeMethod::kRosenbrockW ? "RosenbrockW" : "Rosenbrock3");
-}
-
 namespace {
 
 void two_dim_system(std::span<const double> x, Vec& out) {
@@ -31,11 +23,6 @@ void two_dim_system(std::span<const double> x, Vec& out) {
 void stiff_rhs(double, std::span<const double> y, Vec& d) {
   d[0] = -1000.0 * (y[0] - std::cos(y[1]));
   d[1] = y[0] - y[1];
-}
-
-void vdp_rhs(double, std::span<const double> y, Vec& d) {
-  d[0] = y[1];
-  d[1] = (1.0 - y[0] * y[0]) * y[1] - y[0];
 }
 
 TEST(WorkspaceTest, PushPopReusesBuffers) {
@@ -129,12 +116,9 @@ TEST(WorkspaceTest, RepeatedPtcSolvesGoQuietAfterWarmup) {
   EXPECT_EQ(ws.in_use(), 0u);
 }
 
-class WorkspaceOdeMethods : public ::testing::TestWithParam<OdeMethod> {};
-
-TEST_P(WorkspaceOdeMethods, RepeatedIntegrationsGoQuietAfterWarmup) {
+TEST(WorkspaceTest, RepeatedIntegrationsGoQuietAfterWarmup) {
   Workspace ws;
   OdeOptions opts;
-  opts.method = GetParam();
   opts.workspace = &ws;
   opts.abs_tol = 1e-8;
   opts.rel_tol = 1e-6;
@@ -145,28 +129,6 @@ TEST_P(WorkspaceOdeMethods, RepeatedIntegrationsGoQuietAfterWarmup) {
   const std::size_t warm = ws.allocation_events();
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(integrate(f, 0.0, Vec{0.0, 0.0}, 5.0, opts).success);
-  }
-  EXPECT_EQ(ws.allocation_events(), warm);
-  EXPECT_EQ(ws.in_use(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllMethods, WorkspaceOdeMethods,
-                         ::testing::Values(OdeMethod::kRosenbrockW,
-                                           OdeMethod::kRosenbrock3));
-
-TEST(WorkspaceTest, RepeatedShootingSolvesGoQuietAfterWarmup) {
-  Workspace ws;
-  ShootingOptions opts;
-  opts.workspace = &ws;
-  opts.ode.workspace = &ws;
-  opts.ode.max_step = 0.5;
-  const OdeRhs f = vdp_rhs;
-
-  const ShootingResult first = solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, opts);
-  ASSERT_TRUE(first.converged);
-  const std::size_t warm = ws.allocation_events();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, opts).converged);
   }
   EXPECT_EQ(ws.allocation_events(), warm);
   EXPECT_EQ(ws.in_use(), 0u);
