@@ -145,8 +145,10 @@ done
 # property harness — the scratch-arena lifetime contract is exactly the
 # kind of bug only ASan sees): the places where an out-of-bounds
 # index or UB-reliant shortcut (the old percentile Release OOB class) would
-# otherwise slip through Release CI.  -fno-sanitize-recover (set by
-# RMP_SANITIZE in CMake) turns every UBSan finding into a test failure.
+# otherwise slip through Release CI.  The golden fingerprint corpus runs
+# here too: its table must match in this Debug build as in Release.
+# -fno-sanitize-recover (set by RMP_SANITIZE in CMake) turns every UBSan
+# finding into a test failure.
 # Only the affected test binaries are built — the full suite already ran
 # above.
 SAN_BUILD_DIR="${SAN_BUILD_DIR:-${BUILD_DIR}-asan}"
@@ -163,6 +165,7 @@ SAN_TESTS=(
   kinetics_c3model_test kinetics_control_analysis_test kinetics_enzymes_test
   kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
   moo_evalcache_test integration_cache_differential_test
+  integration_golden_fingerprint_test
   robustness_robustness_test
   api_session_test api_serve_test
   core_fault_test api_chaos_test)

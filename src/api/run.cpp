@@ -23,23 +23,17 @@ core::Json to_json(const MinedCandidate& candidate) {
 
 }  // namespace
 
-RunResult run(const RunSpec& spec) { return run(spec, Session::Observer{}); }
-
-RunResult run(const RunSpec& spec, const Session::Observer& observer) {
+RunResult run(const RunSpec& spec) {
   if (spec.checkpoint_every > 0 && spec.checkpoint_path.empty()) {
     throw SpecError(
         "spec \"checkpoint_every\" > 0 requires \"checkpoint_path\" under "
         "api::run (rmp_serve supplies its own spool path)");
   }
   Session session(spec);
-  if (spec.checkpoint_every == 0) {
-    session.set_observer(observer);
-    return session.finish();
-  }
-  // Periodic checkpointing wraps the caller's observer so the cadence counts
-  // committed epochs exactly — including the ones finish() drives.
+  if (spec.checkpoint_every == 0) return session.finish();
+  // Periodic checkpointing observes committed epochs, so the cadence counts
+  // them exactly — including the ones finish() drives.
   session.set_observer([&](const SessionProgress& progress) {
-    if (observer) observer(progress);
     const bool due = progress.epoch % spec.checkpoint_every == 0 ||
                      progress.epoch == progress.total_epochs;
     if (!due) return;

@@ -127,10 +127,6 @@ class Session {
   double optimize_seconds_ = 0.0;
 };
 
-/// api::run with a per-committed-epoch observer — the observer overload
-/// lives here because run.hpp predates the Session split.
-[[nodiscard]] RunResult run(const RunSpec& spec, const Session::Observer& observer);
-
 /// Loads a checkpoint envelope from disk for Session::resume.  A missing,
 /// unreadable, truncated, or otherwise unparseable file throws SpecError
 /// naming the file path and (for parse failures) the byte offset of the

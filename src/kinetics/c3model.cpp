@@ -1,9 +1,15 @@
 #include "kinetics/c3model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <mutex>
+#include <type_traits>
+#include <utility>
 
 #include "core/parallel.hpp"
 
@@ -16,10 +22,370 @@ namespace rmp::kinetics {
 namespace {
 
 /// Simple saturating term x / (x + k).
-double mm(double x, double k) { return x / (x + k); }
+template <class T>
+T mm(const T& x, double k) { return x / (x + k); }
 
-/// d/dx of mm(x, k).
-double dmm(double x, double k) { return k / ((x + k) * (x + k)); }
+// --- the narrow dual number the Jacobian is derived with --------------------
+
+/// Forward-mode dual number: a value and its partials with respect to one
+/// rate law's N inputs (N <= 4), never the whole state.  Every operation
+/// computes its value exactly as the double operation would, so a law
+/// evaluated in duals yields the double law's bits as its value.
+template <std::size_t N>
+struct Dual {
+  double v = 0.0;
+  std::array<double, N> d{};
+};
+
+/// A dual with value v and partials d(s).
+template <std::size_t N, class Partial>
+Dual<N> make_dual(double v, Partial&& d) {
+  Dual<N> r{v};
+  for (std::size_t s = 0; s < N; ++s) r.d[s] = d(s);
+  return r;
+}
+
+template <std::size_t N>
+Dual<N> operator+(const Dual<N>& a, const Dual<N>& b) {
+  return make_dual<N>(a.v + b.v, [&](std::size_t s) { return a.d[s] + b.d[s]; });
+}
+template <std::size_t N>
+Dual<N> operator+(const Dual<N>& a, double b) { return {a.v + b, a.d}; }
+template <std::size_t N>
+Dual<N> operator+(double a, const Dual<N>& b) { return {a + b.v, b.d}; }
+template <std::size_t N>
+Dual<N> operator-(const Dual<N>& a, const Dual<N>& b) {
+  return make_dual<N>(a.v - b.v, [&](std::size_t s) { return a.d[s] - b.d[s]; });
+}
+template <std::size_t N>
+Dual<N> operator*(const Dual<N>& a, const Dual<N>& b) {
+  return make_dual<N>(a.v * b.v,
+                      [&](std::size_t s) { return a.d[s] * b.v + a.v * b.d[s]; });
+}
+template <std::size_t N>
+Dual<N> operator*(double a, const Dual<N>& b) {
+  return make_dual<N>(a * b.v, [&](std::size_t s) { return a * b.d[s]; });
+}
+template <std::size_t N>
+Dual<N> operator/(const Dual<N>& a, const Dual<N>& b) {
+  const double q = a.v / b.v;
+  const double inv = 1.0 / b.v;
+  return make_dual<N>(q, [&](std::size_t s) { return (a.d[s] - q * b.d[s]) * inv; });
+}
+template <std::size_t N>
+Dual<N> operator/(const Dual<N>& a, double b) {
+  const double inv = 1.0 / b;
+  return make_dual<N>(a.v / b, [&](std::size_t s) { return a.d[s] * inv; });
+}
+
+// --- rate-law inputs -----------------------------------------------------------
+
+// Beyond the 24 states, the laws read the free parts of the three conserved
+// pools as inputs of their own; the Jacobian assembly chains them to the
+// states through kPoolBound.
+constexpr std::size_t kFreePi = kNumMetabolites;     ///< free stromal phosphate
+constexpr std::size_t kFreePiCyt = kFreePi + 1;      ///< free cytosolic phosphate
+constexpr std::size_t kAdp = kFreePiCyt + 1;         ///< adenylate_total - ATP
+
+/// A metabolite's weight in a conserved pool (phosphate groups or adenylates
+/// per molecule).
+struct PoolTerm {
+  std::size_t idx;
+  double w;
+};
+
+constexpr PoolTerm kStromalEster[] = {
+    {kRuBP, 2.0}, {kPga, 1.0}, {kDpga, 2.0}, {kT3p, 1.0},
+    {kFbp, 2.0},  {kE4p, 1.0}, {kSbp, 2.0},  {kS7p, 1.0},
+    {kPeP, 1.0},  {kHeP, 1.0}, {kPgca, 1.0}, {kAtp, 1.0}};
+constexpr PoolTerm kCytosolEster[] = {{kT3pc, 1.0}, {kFbpc, 2.0},
+                                      {kHePc, 1.0}, {kUdpg, 2.0},
+                                      {kSucp, 1.0}, {kF26bp, 2.0}};
+constexpr PoolTerm kAdenylate[] = {{kAtp, 1.0}};
+
+/// The states bound in each pool, indexed by input - kNumMetabolites.
+constexpr std::span<const PoolTerm> kPoolBound[] = {kStromalEster, kCytosolEster,
+                                                    kAdenylate};
+constexpr std::size_t kNumPools = std::size(kPoolBound);
+
+/// Free part of each conserved pool at a state: total minus the bound
+/// states, clamped at a floor.  `live` is false on the clamped branch, where
+/// the free part does not move with the states.
+struct FreePools {
+  std::array<double, kNumPools> value;
+  std::array<bool, kNumPools> live;
+};
+
+FreePools free_pools(std::span<const double> y, const C3Config& c) {
+  const double total[] = {c.stromal_phosphate_total, c.cytosolic_phosphate_total,
+                          c.adenylate_total};
+  const double floor[] = {c.min_free_pi, c.min_free_pi, 0.0};
+  FreePools p{};
+  for (std::size_t k = 0; k < kNumPools; ++k) {
+    double bound = 0.0;
+    for (const PoolTerm& t : kPoolBound[k]) bound += t.w * y[t.idx];
+    const double raw = total[k] - bound;
+    p.value[k] = std::max(raw, floor[k]);
+    p.live[k] = raw > floor[k];
+  }
+  return p;
+}
+
+/// A reaction, named by its C3Rates field.
+using Rate = double C3Rates::*;
+
+/// Tags a rate law with its reaction R and the inputs I... it reads; the
+/// law's dual pass seeds exactly these, in this order.
+template <Rate R, std::size_t... I>
+struct Law {};
+
+/// Input i of a rate law at a state: a metabolite or a free pool part.
+double input_value(std::span<const double> y, const FreePools& pools, std::size_t i) {
+  return i < kNumMetabolites ? y[i] : pools.value[i - kNumMetabolites];
+}
+
+// --- the rate laws -----------------------------------------------------------
+
+/// Calls visit(Law<reaction, inputs...>{}, rate) for every reaction; rate(x)
+/// evaluates the law from an input accessor x, where x(i) yields input i (a
+/// MetaboliteId or one of kFreePi, kFreePiCyt, kAdp) as the accessor's
+/// scalar type.  Each rate law is written here once: rates() instantiates it
+/// for double, the Jacobian for Dual.
+template <class Visit>
+void for_each_rate_law(const C3Config& c, std::span<const double> mult,
+                       Visit&& visit) {
+  const auto enz = enzyme_table();
+  const auto vmax = [&](std::size_t e) { return mult[e] * enz[e].natural_vmax; };
+
+  // --- Rubisco: carboxylation and oxygenation compete for RuBP ------------
+  const double f_co2 = c.ci_ppm / (c.ci_ppm + c.kc_ppm * (1.0 + c.o2_ppm / c.ko_ppm));
+  const double f_o2 = c.o2_ppm / (c.o2_ppm + c.ko_ppm * (1.0 + c.ci_ppm / c.kc_ppm));
+  visit(Law<&C3Rates::vc, kRuBP>{}, [&](auto& x) {
+    return vmax(kRubisco) * f_co2 * mm(x(kRuBP), c.km_rubp);
+  });
+  visit(Law<&C3Rates::vo, kRuBP>{}, [&](auto& x) {
+    return vmax(kRubisco) * c.vo_vc_capacity_ratio * f_o2 * mm(x(kRuBP), c.km_rubp);
+  });
+
+  // --- PGA reduction: reversible, near-equilibrium ---------------------------
+  // v = V (S1 S2 - P1 P2 / Keq) / ((S1 + K1)(S2 + K2)); the displacement
+  // term vanishes at equilibrium so these large-capacity enzymes buffer the
+  // sector instead of pumping it dry.
+  visit(Law<&C3Rates::v_pgak, kPga, kAtp, kDpga, kAdp>{}, [&](auto& x) {
+    return vmax(kPgaKinase) *
+           (x(kPga) * x(kAtp) - x(kDpga) * x(kAdp) / c.keq_pgak) /
+           ((x(kPga) + c.km_pga_pgak) * (x(kAtp) + c.km_atp_pgak));
+  });
+  // NADPH saturating (light-saturated conditions); Pi appears as product.
+  visit(Law<&C3Rates::v_gapdh, kDpga, kT3p, kFreePi>{}, [&](auto& x) {
+    return vmax(kGapDh) * (x(kDpga) - x(kT3p) * x(kFreePi) / c.keq_gapdh) /
+           (x(kDpga) + c.km_dpga_gapdh);
+  });
+
+  // --- Calvin cycle regeneration -------------------------------------------
+  // Rate laws act on the equilibrium pools directly; the GAP/DHAP (and
+  // F6P/G6P/G1P, Ru5P/Xu5P/Ri5P) splits are folded into effective Kms.
+  // FBP aldolase: condensation with product inhibition by FBP.
+  visit(Law<&C3Rates::v_fbpald, kT3p, kFbp>{}, [&](auto& x) {
+    return vmax(kFbpAldolase) * mm(x(kT3p), c.km_t3p_ald) *
+           mm(x(kT3p), c.km_t3p_ald) / (1.0 + x(kFbp) / c.km_fbp_ald_rev);
+  });
+  visit(Law<&C3Rates::v_fbpase, kFbp>{}, [&](auto& x) {
+    return vmax(kFbpase) * mm(x(kFbp), c.km_fbp_fbpase);
+  });
+  visit(Law<&C3Rates::v_tk1, kHeP, kT3p>{}, [&](auto& x) {
+    return vmax(kTransketolase) * mm(c.frac_f6p_hep * x(kHeP), c.km_f6p_tk) *
+           mm(x(kT3p), c.km_t3p_tk);
+  });
+  visit(Law<&C3Rates::v_tk2, kS7p, kT3p>{}, [&](auto& x) {
+    return vmax(kTransketolase) * mm(x(kS7p), c.km_s7p_tk) * mm(x(kT3p), c.km_t3p_tk);
+  });
+  visit(Law<&C3Rates::v_sbpald, kE4p, kT3p>{}, [&](auto& x) {
+    return vmax(kSbpAldolase) * mm(x(kE4p), c.km_e4p_sald) *
+           mm(x(kT3p), c.km_t3p_sald);
+  });
+  visit(Law<&C3Rates::v_sbpase, kSbp>{}, [&](auto& x) {
+    return vmax(kSbpase) * mm(x(kSbp), c.km_sbp_sbpase);
+  });
+  // PRK with competitive PGA inhibition.
+  visit(Law<&C3Rates::v_prk, kPeP, kPga, kAtp>{}, [&](auto& x) {
+    const auto ru5p = c.frac_ru5p_pep * x(kPeP);
+    return vmax(kPrk) * ru5p /
+           (ru5p + c.km_ru5p_prk * (1.0 + x(kPga) / c.ki_pga_prk)) *
+           mm(x(kAtp), c.km_atp_prk);
+  });
+
+  // --- starch synthesis: allosterically controlled by the PGA/Pi ratio -------
+  // (the physiological overflow valve: carbon goes to starch when phosphate
+  // is being sequestered in PGA).
+  visit(Law<&C3Rates::v_starch, kPga, kFreePi, kHeP, kAtp>{}, [&](auto& x) {
+    const auto pga_pi_ratio = x(kPga) / x(kFreePi);
+    const auto ratio_sq = pga_pi_ratio * pga_pi_ratio;
+    const auto starch_act =
+        ratio_sq / (ratio_sq + c.ka_pga_adpgpp * c.ka_pga_adpgpp);
+    return vmax(kAdpgpp) * mm(c.frac_g1p_hep * x(kHeP), c.km_g1p_adpgpp) *
+           mm(x(kAtp), 0.3) * starch_act;
+  });
+
+  // --- photorespiration -------------------------------------------------------
+  visit(Law<&C3Rates::v_pgcapase, kPgca>{}, [&](auto& x) {
+    return vmax(kPgcaPase) * mm(x(kPgca), c.km_pgca);
+  });
+  visit(Law<&C3Rates::v_goaox, kGca>{}, [&](auto& x) {
+    return vmax(kGoaOxidase) * mm(x(kGca), c.km_gca);
+  });
+  visit(Law<&C3Rates::v_ggat, kGoa>{}, [&](auto& x) {
+    return vmax(kGgat) * mm(x(kGoa), c.km_goa_ggat);
+  });
+  visit(Law<&C3Rates::v_gsat, kGoa, kSer>{}, [&](auto& x) {
+    return vmax(kGsat) * mm(x(kGoa), c.km_goa_gsat) * mm(x(kSer), c.km_ser_gsat);
+  });
+  visit(Law<&C3Rates::v_gdc, kGly>{}, [&](auto& x) {
+    return vmax(kGdc) * mm(x(kGly), c.km_gly_gdc);
+  });
+  visit(Law<&C3Rates::v_hpr, kHpr>{}, [&](auto& x) {
+    return vmax(kHprReductase) * mm(x(kHpr), c.km_hpr);
+  });
+  visit(Law<&C3Rates::v_gceak, kGcea, kAtp>{}, [&](auto& x) {
+    return vmax(kGceaKinase) * mm(x(kGcea), c.km_gcea) *
+           mm(x(kAtp), c.km_atp_gceak);
+  });
+
+  // --- export through the Pi translocator ------------------------------------
+  // T3P and PGA compete for the same carrier capacity.  Both carrier legs are
+  // cooperative (Hill-2): export vanishes quadratically when the stromal
+  // pools are lean (the cycle keeps its carbon — no collapse) and engages
+  // strongly when they are replete (no phosphate swamp).  The antiport runs
+  // on free cytosolic Pi (Hill-2 as well), so a congested cytosol (sucrose
+  // path saturated) throttles export — the sink-limitation feedback.
+  const auto translocator = [&](auto& x, MetaboliteId leg) {
+    const auto t3p_leg = (x(kT3p) / c.km_t3p_export) * (x(kT3p) / c.km_t3p_export);
+    const auto pga_leg = (x(kPga) / c.km_pga_export) * (x(kPga) / c.km_pga_export);
+    const auto carrier_load = 1.0 + t3p_leg + pga_leg;
+    const auto pi_term = mm(x(kFreePiCyt), c.km_pi_cyt_export);
+    const auto antiport = c.triose_export_vmax * pi_term * pi_term / carrier_load;
+    return antiport * (leg == kT3p ? t3p_leg : pga_leg);
+  };
+  visit(Law<&C3Rates::v_export, kT3p, kPga, kFreePiCyt>{},
+        [&](auto& x) { return translocator(x, kT3p); });
+  visit(Law<&C3Rates::v_export_pga, kT3p, kPga, kFreePiCyt>{},
+        [&](auto& x) { return translocator(x, kPga); });
+
+  // --- cytosolic sucrose synthesis -------------------------------------------
+  visit(Law<&C3Rates::v_cfbpald, kT3pc>{}, [&](auto& x) {
+    return vmax(kCytFbpAldolase) * mm(x(kT3pc), c.km_t3pc_ald) *
+           mm(x(kT3pc), c.km_t3pc_ald);
+  });
+  // Cytosolic FBPase: strongly inhibited by the F26BP regulator.
+  visit(Law<&C3Rates::v_cfbpase, kFbpc, kF26bp>{}, [&](auto& x) {
+    return vmax(kCytFbpase) * x(kFbpc) /
+           (x(kFbpc) + c.km_fbpc_fbpase * (1.0 + x(kF26bp) / c.ki_f26bp_fbpase));
+  });
+  visit(Law<&C3Rates::v_udpgp, kHePc>{}, [&](auto& x) {
+    return vmax(kUdpgp) * mm(c.frac_g1p_hep * x(kHePc), c.km_hepc_udpgp);
+  });
+  visit(Law<&C3Rates::v_sps, kUdpg, kHePc>{}, [&](auto& x) {
+    return vmax(kSps) * mm(x(kUdpg), c.km_udpg_sps) *
+           mm(c.frac_f6p_hep * x(kHePc), c.km_hepc_sps);
+  });
+  visit(Law<&C3Rates::v_spp, kSucp>{}, [&](auto& x) {
+    return vmax(kSpp) * mm(x(kSucp), c.km_sucp_spp);
+  });
+  visit(Law<&C3Rates::v_f26bpase, kF26bp>{}, [&](auto& x) {
+    return vmax(kF26bpase) * mm(x(kF26bp), c.km_f26bp_f26bpase);
+  });
+  visit(Law<&C3Rates::v_f26bp_syn, kHePc>{}, [&](auto& x) {
+    return c.f26bp_synthesis_rate * mm(c.frac_f6p_hep * x(kHePc), c.km_hepc_f26bpsyn);
+  });
+
+  // --- ATP regeneration by the (light-saturated) thylakoid reactions ---------
+  visit(Law<&C3Rates::v_atpsyn, kAdp, kFreePi>{}, [&](auto& x) {
+    return c.atp_synthesis_vmax * mm(x(kAdp), c.km_adp_atpsyn) *
+           mm(x(kFreePi), c.km_pi_atpsyn);
+  });
+}
+
+// --- the stoichiometry ---------------------------------------------------------
+
+/// One term of dy_row/dt: coef * rate.
+struct StoichTerm {
+  std::size_t row;
+  Rate rate;
+  double coef;
+};
+
+/// Row-major, each row's terms in summation order (derivatives()' bits
+/// depend on that order).
+constexpr StoichTerm kStoichiometry[] = {
+    {kRuBP, &C3Rates::v_prk, 1}, {kRuBP, &C3Rates::vc, -1}, {kRuBP, &C3Rates::vo, -1},
+    {kPga, &C3Rates::vc, 2}, {kPga, &C3Rates::vo, 1}, {kPga, &C3Rates::v_gceak, 1},
+    {kPga, &C3Rates::v_pgak, -1}, {kPga, &C3Rates::v_export_pga, -1},
+    {kDpga, &C3Rates::v_pgak, 1}, {kDpga, &C3Rates::v_gapdh, -1},
+    {kT3p, &C3Rates::v_gapdh, 1}, {kT3p, &C3Rates::v_fbpald, -2},
+    {kT3p, &C3Rates::v_tk1, -1}, {kT3p, &C3Rates::v_tk2, -1},
+    {kT3p, &C3Rates::v_sbpald, -1}, {kT3p, &C3Rates::v_export, -1},
+    {kFbp, &C3Rates::v_fbpald, 1}, {kFbp, &C3Rates::v_fbpase, -1},
+    {kE4p, &C3Rates::v_tk1, 1}, {kE4p, &C3Rates::v_sbpald, -1},
+    {kSbp, &C3Rates::v_sbpald, 1}, {kSbp, &C3Rates::v_sbpase, -1},
+    {kS7p, &C3Rates::v_sbpase, 1}, {kS7p, &C3Rates::v_tk2, -1},
+    {kPeP, &C3Rates::v_tk1, 1}, {kPeP, &C3Rates::v_tk2, 2}, {kPeP, &C3Rates::v_prk, -1},
+    {kHeP, &C3Rates::v_fbpase, 1}, {kHeP, &C3Rates::v_tk1, -1},
+    {kHeP, &C3Rates::v_starch, -1},
+    {kPgca, &C3Rates::vo, 1}, {kPgca, &C3Rates::v_pgcapase, -1},
+    {kGca, &C3Rates::v_pgcapase, 1}, {kGca, &C3Rates::v_goaox, -1},
+    {kGoa, &C3Rates::v_goaox, 1}, {kGoa, &C3Rates::v_ggat, -1},
+    {kGoa, &C3Rates::v_gsat, -1},
+    {kGly, &C3Rates::v_ggat, 1}, {kGly, &C3Rates::v_gsat, 1}, {kGly, &C3Rates::v_gdc, -2},
+    {kSer, &C3Rates::v_gdc, 1}, {kSer, &C3Rates::v_gsat, -1},
+    {kHpr, &C3Rates::v_gsat, 1}, {kHpr, &C3Rates::v_hpr, -1},
+    {kGcea, &C3Rates::v_hpr, 1}, {kGcea, &C3Rates::v_gceak, -1},
+    {kAtp, &C3Rates::v_atpsyn, 1}, {kAtp, &C3Rates::v_pgak, -1},
+    {kAtp, &C3Rates::v_prk, -1}, {kAtp, &C3Rates::v_gceak, -1},
+    {kAtp, &C3Rates::v_starch, -1},
+    // Exported PGA enters the cytosolic triose pool as a C3 equivalent (its
+    // glycolytic conversion is not modeled separately).
+    {kT3pc, &C3Rates::v_export, 1}, {kT3pc, &C3Rates::v_export_pga, 1},
+    {kT3pc, &C3Rates::v_cfbpald, -2},
+    {kFbpc, &C3Rates::v_cfbpald, 1}, {kFbpc, &C3Rates::v_cfbpase, -1},
+    {kHePc, &C3Rates::v_cfbpase, 1}, {kHePc, &C3Rates::v_f26bpase, 1},
+    {kHePc, &C3Rates::v_udpgp, -1}, {kHePc, &C3Rates::v_sps, -1},
+    {kHePc, &C3Rates::v_f26bp_syn, -1},
+    {kUdpg, &C3Rates::v_udpgp, 1}, {kUdpg, &C3Rates::v_sps, -1},
+    {kSucp, &C3Rates::v_sps, 1}, {kSucp, &C3Rates::v_spp, -1},
+    {kF26bp, &C3Rates::v_f26bp_syn, 1}, {kF26bp, &C3Rates::v_f26bpase, -1},
+};
+
+/// Calls f(k) for every term index k of kStoichiometry, in table order, with
+/// k a compile-time constant (std::integral_constant) so each term unrolls
+/// into straight-line code.
+template <class F>
+void for_each_stoich_term(F&& f) {
+  [&]<std::size_t... K>(std::index_sequence<K...>) {
+    (f(std::integral_constant<std::size_t, K>{}), ...);
+  }(std::make_index_sequence<std::size(kStoichiometry)>{});
+}
+
+/// dydt = S v, each row summed left to right from its first term.
+void apply_stoichiometry(const C3Rates& r, num::Vec& dydt) {
+  dydt.resize(kNumMetabolites);
+  for_each_stoich_term([&](auto k) {
+    constexpr StoichTerm t = kStoichiometry[k];
+    constexpr bool first = k == 0 || kStoichiometry[k - 1].row != t.row;
+    const double term = t.coef * r.*t.rate;
+    dydt[t.row] = first ? term : dydt[t.row] + term;
+  });
+}
+
+/// jac(row, :) += dv * d(input I)/dy: the unit column for a state; for a
+/// free pool part, -w on each bound state, or nothing on the clamped branch.
+template <std::size_t I>
+void add_partial(num::Matrix& jac, std::size_t row, double dv, const FreePools& pools) {
+  if constexpr (I < kNumMetabolites) {
+    jac(row, I) += dv;
+  } else if (pools.live[I - kNumMetabolites]) {
+    for (const PoolTerm& b : kPoolBound[I - kNumMetabolites]) jac(row, b.idx) -= b.w * dv;
+  }
+}
 
 }  // namespace
 
@@ -121,161 +487,27 @@ num::Vec C3Model::default_initial_state() {
   return y;
 }
 
+// Flattened, as jacobian_at() is, so every rate law inlines here and config
+// and state stay in registers across the laws (~1.5x slower without).
+[[gnu::flatten]]
 C3Rates C3Model::rates(std::span<const double> y, std::span<const double> mult) const {
   assert(y.size() == kNumMetabolites);
   assert(mult.size() == kNumEnzymes);
-  const C3Config& c = config_;
-  const auto enz = enzyme_table();
-  auto vmax = [&](std::size_t e) { return mult[e] * enz[e].natural_vmax; };
-
+  const FreePools pools = free_pools(y, config_);
+  const auto x = [&](std::size_t i) { return input_value(y, pools, i); };
   C3Rates r;
-
-  // Free stromal phosphate from the conserved pool: total minus esterified.
-  const double esterified = 2.0 * y[kRuBP] + y[kPga] + 2.0 * y[kDpga] + y[kT3p] +
-                            2.0 * y[kFbp] + y[kE4p] + 2.0 * y[kSbp] + y[kS7p] +
-                            y[kPeP] + y[kHeP] + y[kPgca] + y[kAtp];
-  r.free_pi = std::max(c.stromal_phosphate_total - esterified, c.min_free_pi);
-
-  const double adp = std::max(c.adenylate_total - y[kAtp], 0.0);
-
-  // --- Rubisco: carboxylation and oxygenation compete for RuBP ------------
-  const double f_rubp = mm(y[kRuBP], c.km_rubp);
-  const double f_co2 = c.ci_ppm / (c.ci_ppm + c.kc_ppm * (1.0 + c.o2_ppm / c.ko_ppm));
-  const double f_o2 = c.o2_ppm / (c.o2_ppm + c.ko_ppm * (1.0 + c.ci_ppm / c.kc_ppm));
-  r.vc = vmax(kRubisco) * f_co2 * f_rubp;
-  r.vo = vmax(kRubisco) * c.vo_vc_capacity_ratio * f_o2 * f_rubp;
-
-  // --- PGA reduction: reversible, near-equilibrium ---------------------------
-  // v = V (S1 S2 - P1 P2 / Keq) / ((S1 + K1)(S2 + K2)); the displacement
-  // term vanishes at equilibrium so these large-capacity enzymes buffer the
-  // sector instead of pumping it dry.
-  r.v_pgak = vmax(kPgaKinase) *
-             (y[kPga] * y[kAtp] - y[kDpga] * adp / c.keq_pgak) /
-             ((y[kPga] + c.km_pga_pgak) * (y[kAtp] + c.km_atp_pgak));
-  // NADPH saturating (light-saturated conditions); Pi appears as product.
-  r.v_gapdh = vmax(kGapDh) *
-              (y[kDpga] - y[kT3p] * r.free_pi / c.keq_gapdh) /
-              (y[kDpga] + c.km_dpga_gapdh);
-
-  // --- Calvin cycle regeneration -------------------------------------------
-  // Rate laws act on the equilibrium pools directly; the GAP/DHAP (and
-  // F6P/G6P/G1P, Ru5P/Xu5P/Ri5P) splits are folded into effective Kms.
-  const double f6p = c.frac_f6p_hep * y[kHeP];
-  const double g1p = c.frac_g1p_hep * y[kHeP];
-  const double ru5p = c.frac_ru5p_pep * y[kPeP];
-
-  // FBP aldolase: condensation with product inhibition by FBP.
-  r.v_fbpald = vmax(kFbpAldolase) * mm(y[kT3p], c.km_t3p_ald) *
-               mm(y[kT3p], c.km_t3p_ald) / (1.0 + y[kFbp] / c.km_fbp_ald_rev);
-  r.v_fbpase = vmax(kFbpase) * mm(y[kFbp], c.km_fbp_fbpase);
-  r.v_tk1 = vmax(kTransketolase) * mm(f6p, c.km_f6p_tk) * mm(y[kT3p], c.km_t3p_tk);
-  r.v_tk2 =
-      vmax(kTransketolase) * mm(y[kS7p], c.km_s7p_tk) * mm(y[kT3p], c.km_t3p_tk);
-  r.v_sbpald =
-      vmax(kSbpAldolase) * mm(y[kE4p], c.km_e4p_sald) * mm(y[kT3p], c.km_t3p_sald);
-  r.v_sbpase = vmax(kSbpase) * mm(y[kSbp], c.km_sbp_sbpase);
-  // PRK with competitive PGA inhibition.
-  r.v_prk = vmax(kPrk) * ru5p /
-            (ru5p + c.km_ru5p_prk * (1.0 + y[kPga] / c.ki_pga_prk)) *
-            mm(y[kAtp], c.km_atp_prk);
-
-  // --- starch synthesis: allosterically controlled by the PGA/Pi ratio -------
-  // (the physiological overflow valve: carbon goes to starch when phosphate
-  // is being sequestered in PGA).
-  const double pga_pi_ratio = y[kPga] / std::max(r.free_pi, c.min_free_pi);
-  const double ratio_sq = pga_pi_ratio * pga_pi_ratio;
-  const double starch_act =
-      ratio_sq / (ratio_sq + c.ka_pga_adpgpp * c.ka_pga_adpgpp);
-  r.v_starch = vmax(kAdpgpp) * mm(g1p, c.km_g1p_adpgpp) * mm(y[kAtp], 0.3) *
-               starch_act;
-
-  // --- photorespiration -------------------------------------------------------
-  r.v_pgcapase = vmax(kPgcaPase) * mm(y[kPgca], c.km_pgca);
-  r.v_goaox = vmax(kGoaOxidase) * mm(y[kGca], c.km_gca);
-  r.v_ggat = vmax(kGgat) * mm(y[kGoa], c.km_goa_ggat);
-  r.v_gsat =
-      vmax(kGsat) * mm(y[kGoa], c.km_goa_gsat) * mm(y[kSer], c.km_ser_gsat);
-  r.v_gdc = vmax(kGdc) * mm(y[kGly], c.km_gly_gdc);
-  r.v_hpr = vmax(kHprReductase) * mm(y[kHpr], c.km_hpr);
-  r.v_gceak =
-      vmax(kGceaKinase) * mm(y[kGcea], c.km_gcea) * mm(y[kAtp], c.km_atp_gceak);
-
-  // --- export through the Pi translocator ------------------------------------
-  // T3P and PGA compete for the same carrier capacity; the antiport runs on
-  // free cytosolic Pi, so a congested cytosol (sucrose path saturated)
-  // throttles export — the sink-limitation feedback.
-  const double esterified_cyt = y[kT3pc] + 2.0 * y[kFbpc] + y[kHePc] +
-                                2.0 * y[kUdpg] + y[kSucp] + 2.0 * y[kF26bp];
-  r.free_pi_cyt =
-      std::max(c.cytosolic_phosphate_total - esterified_cyt, c.min_free_pi);
-  // Both carrier legs are cooperative (Hill-2): export vanishes quadratically
-  // when the stromal pools are lean (the cycle keeps its carbon — no
-  // collapse) and engages strongly when they are replete (no phosphate
-  // swamp).  The antiport itself needs free cytosolic Pi (Hill-2 as well),
-  // which is how a congested cytosol throttles export.
-  const double t3p_leg = (y[kT3p] / c.km_t3p_export) * (y[kT3p] / c.km_t3p_export);
-  const double pga_leg =
-      (y[kPga] / c.km_pga_export) * (y[kPga] / c.km_pga_export);
-  const double carrier_load = 1.0 + t3p_leg + pga_leg;
-  const double pi_term = mm(r.free_pi_cyt, c.km_pi_cyt_export);
-  const double antiport =
-      c.triose_export_vmax * pi_term * pi_term / carrier_load;
-  r.v_export = antiport * t3p_leg;
-  r.v_export_pga = antiport * pga_leg;
-
-  // --- cytosolic sucrose synthesis -------------------------------------------
-  const double f6pc = c.frac_f6p_hep * y[kHePc];
-  const double g1pc = c.frac_g1p_hep * y[kHePc];
-  r.v_cfbpald =
-      vmax(kCytFbpAldolase) * mm(y[kT3pc], c.km_t3pc_ald) * mm(y[kT3pc], c.km_t3pc_ald);
-  // Cytosolic FBPase: strongly inhibited by the F26BP regulator.
-  r.v_cfbpase = vmax(kCytFbpase) * y[kFbpc] /
-                (y[kFbpc] + c.km_fbpc_fbpase * (1.0 + y[kF26bp] / c.ki_f26bp_fbpase));
-  r.v_udpgp = vmax(kUdpgp) * mm(g1pc, c.km_hepc_udpgp);
-  r.v_sps = vmax(kSps) * mm(y[kUdpg], c.km_udpg_sps) * mm(f6pc, c.km_hepc_sps);
-  r.v_spp = vmax(kSpp) * mm(y[kSucp], c.km_sucp_spp);
-  r.v_f26bpase = vmax(kF26bpase) * mm(y[kF26bp], c.km_f26bp_f26bpase);
-  r.v_f26bp_syn = c.f26bp_synthesis_rate * mm(f6pc, c.km_hepc_f26bpsyn);
-
-  // --- ATP regeneration by the (light-saturated) thylakoid reactions ---------
-  r.v_atpsyn = c.atp_synthesis_vmax * mm(adp, c.km_adp_atpsyn) *
-               mm(r.free_pi, c.km_pi_atpsyn);
-
+  for_each_rate_law(config_, mult,
+                    [&]<Rate R, std::size_t... I>(Law<R, I...>, const auto& rate) {
+                      r.*R = rate(x);
+                    });
+  r.free_pi = x(kFreePi);
+  r.free_pi_cyt = x(kFreePiCyt);
   return r;
 }
 
 void C3Model::derivatives(std::span<const double> y, std::span<const double> mult,
                           num::Vec& dydt) const {
-  const C3Rates r = rates(y, mult);
-  dydt.assign(kNumMetabolites, 0.0);
-
-  dydt[kRuBP] = r.v_prk - r.vc - r.vo;
-  dydt[kPga] = 2.0 * r.vc + r.vo + r.v_gceak - r.v_pgak - r.v_export_pga;
-  dydt[kDpga] = r.v_pgak - r.v_gapdh;
-  dydt[kT3p] = r.v_gapdh - 2.0 * r.v_fbpald - r.v_tk1 - r.v_tk2 - r.v_sbpald -
-               r.v_export;
-  dydt[kFbp] = r.v_fbpald - r.v_fbpase;
-  dydt[kE4p] = r.v_tk1 - r.v_sbpald;
-  dydt[kSbp] = r.v_sbpald - r.v_sbpase;
-  dydt[kS7p] = r.v_sbpase - r.v_tk2;
-  dydt[kPeP] = r.v_tk1 + 2.0 * r.v_tk2 - r.v_prk;
-  dydt[kHeP] = r.v_fbpase - r.v_tk1 - r.v_starch;
-  dydt[kPgca] = r.vo - r.v_pgcapase;
-  dydt[kGca] = r.v_pgcapase - r.v_goaox;
-  dydt[kGoa] = r.v_goaox - r.v_ggat - r.v_gsat;
-  dydt[kGly] = r.v_ggat + r.v_gsat - 2.0 * r.v_gdc;
-  dydt[kSer] = r.v_gdc - r.v_gsat;
-  dydt[kHpr] = r.v_gsat - r.v_hpr;
-  dydt[kGcea] = r.v_hpr - r.v_gceak;
-  dydt[kAtp] = r.v_atpsyn - r.v_pgak - r.v_prk - r.v_gceak - r.v_starch;
-  // Exported PGA enters the cytosolic triose pool as a C3 equivalent (its
-  // glycolytic conversion is not modeled separately).
-  dydt[kT3pc] = r.v_export + r.v_export_pga - 2.0 * r.v_cfbpald;
-  dydt[kFbpc] = r.v_cfbpald - r.v_cfbpase;
-  dydt[kHePc] = r.v_cfbpase + r.v_f26bpase - r.v_udpgp - r.v_sps - r.v_f26bp_syn;
-  dydt[kUdpg] = r.v_udpgp - r.v_sps;
-  dydt[kSucp] = r.v_sps - r.v_spp;
-  dydt[kF26bp] = r.v_f26bp_syn - r.v_f26bpase;
+  apply_stoichiometry(rates(y, mult), dydt);
 }
 
 double C3Model::co2_uptake(std::span<const double> y,
@@ -284,403 +516,72 @@ double C3Model::co2_uptake(std::span<const double> y,
   return config_.uptake_area_scale * (r.vc - r.v_gdc);
 }
 
-namespace {
-
-/// A metabolite's weight in a conserved-phosphate pool (phosphate groups per
-/// molecule) — the chain-rule fan-out of the free-Pi terms.
-struct PoolTerm {
-  std::size_t idx;
-  double w;
-};
-
-/// Esterified stromal phosphate, mirroring the sum in rates().
-constexpr PoolTerm kStromalEster[] = {
-    {kRuBP, 2.0}, {kPga, 1.0}, {kDpga, 2.0}, {kT3p, 1.0},
-    {kFbp, 2.0},  {kE4p, 1.0}, {kSbp, 2.0},  {kS7p, 1.0},
-    {kPeP, 1.0},  {kHeP, 1.0}, {kPgca, 1.0}, {kAtp, 1.0}};
-
-/// Esterified cytosolic phosphate, mirroring the sum in rates().
-constexpr PoolTerm kCytosolEster[] = {{kT3pc, 1.0}, {kFbpc, 2.0},
-                                      {kHePc, 1.0}, {kUdpg, 2.0},
-                                      {kSucp, 1.0}, {kF26bp, 2.0}};
-
-}  // namespace
-
-// The closed-form Jacobian.  Every rate law in rates() is a rational
-// function of a few states plus (for the stromal sector) the free-phosphate
-// pool, itself an affine function of twelve states — so each rate
-// contributes a small dense gradient, scattered into the matrix through the
-// same stoichiometry derivatives() uses.  The clamps (free Pi at
-// min_free_pi, ADP at 0) contribute zero derivative on their clamped branch;
+// The Jacobian, derived from the rate laws themselves: each law is evaluated
+// once in Dual arithmetic, seeded on the few inputs it reads, and its
+// gradient is added into jac through the stoichiometry table derivatives() sums.
+// A gradient against a free pool part chains to the pool's bound states
+// (-w each) unless the pool sits on its clamped branch, where it is flat;
 // the kinks are measure-zero and the solver's backtracking tolerates them.
-// Any edit to rates()/derivatives() must be mirrored here — the randomized
-// FD-vs-analytic differential test in tests/kinetics/c3model_test.cpp fails
-// loudly on divergence of any entry.
+[[gnu::flatten]]
 void C3Model::jacobian_at(std::span<const double> y, std::span<const double> mult,
-                          num::Matrix& jac) const {
+                          num::Matrix& jac, num::Vec* dydt) const {
   assert(y.size() == kNumMetabolites);
   assert(mult.size() == kNumEnzymes);
-  const C3Config& c = config_;
-  const auto enz = enzyme_table();
-  auto vmax = [&](std::size_t e) { return mult[e] * enz[e].natural_vmax; };
-
-  if (jac.rows() != kNumMetabolites || jac.cols() != kNumMetabolites) {
-    jac = num::Matrix(kNumMetabolites, kNumMetabolites);
-  } else {
-    std::fill(jac.data().begin(), jac.data().end(), 0.0);
-  }
-
-  // --- conserved pools and their (clamped) sensitivities -------------------
-  double esterified = 0.0;
-  for (const PoolTerm& t : kStromalEster) esterified += t.w * y[t.idx];
-  const double fp_raw = c.stromal_phosphate_total - esterified;
-  const bool fp_clamped = fp_raw < c.min_free_pi;
-  const double fp = fp_clamped ? c.min_free_pi : fp_raw;
-  // dfp/dy[t.idx] = fp_clamped ? 0 : -t.w
-
-  double esterified_cyt = 0.0;
-  for (const PoolTerm& t : kCytosolEster) esterified_cyt += t.w * y[t.idx];
-  const double fpc_raw = c.cytosolic_phosphate_total - esterified_cyt;
-  const bool fpc_clamped = fpc_raw < c.min_free_pi;
-  const double fpc = fpc_clamped ? c.min_free_pi : fpc_raw;
-
-  const double adp = std::max(c.adenylate_total - y[kAtp], 0.0);
-  const double dadp_datp = y[kAtp] >= c.adenylate_total ? 0.0 : -1.0;
-
-  // --- Rubisco -------------------------------------------------------------
-  const double f_co2 = c.ci_ppm / (c.ci_ppm + c.kc_ppm * (1.0 + c.o2_ppm / c.ko_ppm));
-  const double f_o2 = c.o2_ppm / (c.o2_ppm + c.ko_ppm * (1.0 + c.ci_ppm / c.kc_ppm));
-  const double df_rubp = dmm(y[kRuBP], c.km_rubp);
-  const double dvc = vmax(kRubisco) * f_co2 * df_rubp;
-  const double dvo = vmax(kRubisco) * c.vo_vc_capacity_ratio * f_o2 * df_rubp;
-  // vc rows: -RuBP, +2 PGA;  vo rows: -RuBP, +PGA, +PGCA.
-  jac(kRuBP, kRuBP) += -dvc - dvo;
-  jac(kPga, kRuBP) += 2.0 * dvc + dvo;
-  jac(kPgca, kRuBP) += dvo;
-
-  // --- PGA kinase (reversible): v = V (PGA ATP - DPGA ADP / Keq) / D ------
-  {
-    const double v = vmax(kPgaKinase);
-    const double n = y[kPga] * y[kAtp] - y[kDpga] * adp / c.keq_pgak;
-    const double d = (y[kPga] + c.km_pga_pgak) * (y[kAtp] + c.km_atp_pgak);
-    const double inv_d2 = 1.0 / (d * d);
-    const double dn_dpga = y[kAtp];
-    const double dn_ddpga = -adp / c.keq_pgak;
-    const double dn_datp = y[kPga] - y[kDpga] * dadp_datp / c.keq_pgak;
-    const double dd_dpga = y[kAtp] + c.km_atp_pgak;
-    const double dd_datp = y[kPga] + c.km_pga_pgak;
-    const double g_pga = v * (dn_dpga * d - n * dd_dpga) * inv_d2;
-    const double g_dpga = v * dn_ddpga / d;
-    const double g_atp = v * (dn_datp * d - n * dd_datp) * inv_d2;
-    // rows: -PGA, +DPGA, -ATP.
-    jac(kPga, kPga) -= g_pga;
-    jac(kPga, kDpga) -= g_dpga;
-    jac(kPga, kAtp) -= g_atp;
-    jac(kDpga, kPga) += g_pga;
-    jac(kDpga, kDpga) += g_dpga;
-    jac(kDpga, kAtp) += g_atp;
-    jac(kAtp, kPga) -= g_pga;
-    jac(kAtp, kDpga) -= g_dpga;
-    jac(kAtp, kAtp) -= g_atp;
-  }
-
-  // --- GAPDH (reversible, Pi as product): v = V (DPGA - T3P fp / Keq) / D --
-  {
-    const double v = vmax(kGapDh);
-    const double n = y[kDpga] - y[kT3p] * fp / c.keq_gapdh;
-    const double d = y[kDpga] + c.km_dpga_gapdh;
-    const double inv_d2 = 1.0 / (d * d);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kDpga, col) -= g;
-      jac(kT3p, col) += g;
-    };
-    // Chain through fp for every esterified state.
-    if (!fp_clamped) {
-      const double coeff = y[kT3p] / c.keq_gapdh;  // -dN/dfp
-      for (const PoolTerm& t : kStromalEster) {
-        scatter(t.idx, v * (coeff * t.w) / d);  // dN = -coeff * dfp = +coeff*w
+  const FreePools pools = free_pools(y, config_);
+  jac.reshape(kNumMetabolites, kNumMetabolites);
+  C3Rates r;
+  for_each_rate_law(config_, mult, [&]<Rate R, std::size_t... I>(Law<R, I...>,
+                                                               const auto& rate) {
+    // Input I_s enters as a dual with partial 1 in slot s.
+    constexpr std::array<std::size_t, sizeof...(I)> inputs{I...};
+    const auto x = [&](std::size_t i) {
+      Dual<sizeof...(I)> in{input_value(y, pools, i)};
+      const auto slot = std::find(inputs.begin(), inputs.end(), i);
+      if (slot == inputs.end()) {
+        // Reading an undeclared input would silently drop a Jacobian column.
+        std::fprintf(stderr, "c3model: a rate law reads undeclared input %zu\n", i);
+        std::abort();
       }
-    }
-    // Direct parts.
-    scatter(kT3p, v * (-fp / c.keq_gapdh) / d);
-    scatter(kDpga, v * (1.0 * d - n * 1.0) * inv_d2);
-  }
-
-  // --- Calvin regeneration -------------------------------------------------
-  const double f6p = c.frac_f6p_hep * y[kHeP];
-  const double g1p = c.frac_g1p_hep * y[kHeP];
-  const double ru5p = c.frac_ru5p_pep * y[kPeP];
-
-  {  // FBP aldolase: v = V mm(T3P)^2 / (1 + FBP/Krev); rows -2 T3P, +FBP.
-    const double m = mm(y[kT3p], c.km_t3p_ald);
-    const double denom = 1.0 + y[kFbp] / c.km_fbp_ald_rev;
-    const double g_t3p = vmax(kFbpAldolase) * 2.0 * m * dmm(y[kT3p], c.km_t3p_ald) / denom;
-    const double g_fbp =
-        -vmax(kFbpAldolase) * m * m / (denom * denom * c.km_fbp_ald_rev);
-    jac(kT3p, kT3p) -= 2.0 * g_t3p;
-    jac(kT3p, kFbp) -= 2.0 * g_fbp;
-    jac(kFbp, kT3p) += g_t3p;
-    jac(kFbp, kFbp) += g_fbp;
-  }
-  {  // FBPase: rows -FBP, +HeP.
-    const double g = vmax(kFbpase) * dmm(y[kFbp], c.km_fbp_fbpase);
-    jac(kFbp, kFbp) -= g;
-    jac(kHeP, kFbp) += g;
-  }
-  {  // TK1 (F6P + T3P): rows -T3P, +E4P, +PeP, -HeP.
-    const double g_hep =
-        vmax(kTransketolase) * dmm(f6p, c.km_f6p_tk) * c.frac_f6p_hep * mm(y[kT3p], c.km_t3p_tk);
-    const double g_t3p =
-        vmax(kTransketolase) * mm(f6p, c.km_f6p_tk) * dmm(y[kT3p], c.km_t3p_tk);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kT3p, col) -= g;
-      jac(kE4p, col) += g;
-      jac(kPeP, col) += g;
-      jac(kHeP, col) -= g;
+      in.d[static_cast<std::size_t>(slot - inputs.begin())] = 1.0;
+      return in;
     };
-    scatter(kHeP, g_hep);
-    scatter(kT3p, g_t3p);
-  }
-  {  // TK2 (S7P + T3P): rows -T3P, -S7P, +2 PeP.
-    const double g_s7p =
-        vmax(kTransketolase) * dmm(y[kS7p], c.km_s7p_tk) * mm(y[kT3p], c.km_t3p_tk);
-    const double g_t3p =
-        vmax(kTransketolase) * mm(y[kS7p], c.km_s7p_tk) * dmm(y[kT3p], c.km_t3p_tk);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kT3p, col) -= g;
-      jac(kS7p, col) -= g;
-      jac(kPeP, col) += 2.0 * g;
-    };
-    scatter(kS7p, g_s7p);
-    scatter(kT3p, g_t3p);
-  }
-  {  // SBP aldolase (E4P + T3P): rows -T3P, -E4P, +SBP.
-    const double g_e4p =
-        vmax(kSbpAldolase) * dmm(y[kE4p], c.km_e4p_sald) * mm(y[kT3p], c.km_t3p_sald);
-    const double g_t3p =
-        vmax(kSbpAldolase) * mm(y[kE4p], c.km_e4p_sald) * dmm(y[kT3p], c.km_t3p_sald);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kT3p, col) -= g;
-      jac(kE4p, col) -= g;
-      jac(kSbp, col) += g;
-    };
-    scatter(kE4p, g_e4p);
-    scatter(kT3p, g_t3p);
-  }
-  {  // SBPase: rows -SBP, +S7P.
-    const double g = vmax(kSbpase) * dmm(y[kSbp], c.km_sbp_sbpase);
-    jac(kSbp, kSbp) -= g;
-    jac(kS7p, kSbp) += g;
-  }
-  {  // PRK with competitive PGA inhibition: rows +RuBP, -PeP, -ATP.
-    const double b = c.km_ru5p_prk * (1.0 + y[kPga] / c.ki_pga_prk);
-    const double denom = ru5p + b;
-    const double inv_denom2 = 1.0 / (denom * denom);
-    const double u = ru5p / denom;
-    const double m_atp = mm(y[kAtp], c.km_atp_prk);
-    const double g_pep =
-        vmax(kPrk) * m_atp * (b * inv_denom2) * c.frac_ru5p_pep;
-    const double g_pga = vmax(kPrk) * m_atp *
-                         (-ru5p * c.km_ru5p_prk / c.ki_pga_prk * inv_denom2);
-    const double g_atp = vmax(kPrk) * u * dmm(y[kAtp], c.km_atp_prk);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kRuBP, col) += g;
-      jac(kPeP, col) -= g;
-      jac(kAtp, col) -= g;
-    };
-    scatter(kPeP, g_pep);
-    scatter(kPga, g_pga);
-    scatter(kAtp, g_atp);
-  }
-
-  // --- starch (ADPGPP, PGA/Pi-activated): rows -HeP, -ATP -------------------
-  {
-    const double rho = y[kPga] / std::max(fp, c.min_free_pi);
-    const double rho2 = rho * rho;
-    const double ka2 = c.ka_pga_adpgpp * c.ka_pga_adpgpp;
-    const double act = rho2 / (rho2 + ka2);
-    const double dact_drho = 2.0 * rho * ka2 / ((rho2 + ka2) * (rho2 + ka2));
-    const double base = vmax(kAdpgpp) * mm(g1p, c.km_g1p_adpgpp) * mm(y[kAtp], 0.3);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kHeP, col) -= g;
-      jac(kAtp, col) -= g;
-    };
-    // Direct MM parts.
-    scatter(kHeP, vmax(kAdpgpp) * dmm(g1p, c.km_g1p_adpgpp) * c.frac_g1p_hep *
-                      mm(y[kAtp], 0.3) * act);
-    scatter(kAtp, vmax(kAdpgpp) * mm(g1p, c.km_g1p_adpgpp) * dmm(y[kAtp], 0.3) * act);
-    // Activation via rho = PGA / fp: direct PGA numerator ...
-    scatter(kPga, base * dact_drho / fp);
-    // ... and the fp chain (sequestration RAISES rho): drho = -rho dfp / fp.
-    if (!fp_clamped) {
-      for (const PoolTerm& t : kStromalEster) {
-        scatter(t.idx, base * dact_drho * (rho * t.w / fp));
+    const auto g = rate(x);
+    r.*R = g.v;
+    // Every stoichiometry term of R, with the partial against each input.
+    for_each_stoich_term([&](auto k) {
+      constexpr StoichTerm t = kStoichiometry[k];
+      if constexpr (t.rate == R) {
+        std::size_t s = 0;
+        (add_partial<I>(jac, t.row, t.coef * g.d[s++], pools), ...);
       }
-    }
-  }
-
-  // --- photorespiration ------------------------------------------------------
-  {  // PGCA phosphatase: rows -PGCA, +GCA.
-    const double g = vmax(kPgcaPase) * dmm(y[kPgca], c.km_pgca);
-    jac(kPgca, kPgca) -= g;
-    jac(kGca, kPgca) += g;
-  }
-  {  // glycolate oxidase: rows -GCA, +GOA.
-    const double g = vmax(kGoaOxidase) * dmm(y[kGca], c.km_gca);
-    jac(kGca, kGca) -= g;
-    jac(kGoa, kGca) += g;
-  }
-  {  // GGAT: rows -GOA, +GLY.
-    const double g = vmax(kGgat) * dmm(y[kGoa], c.km_goa_ggat);
-    jac(kGoa, kGoa) -= g;
-    jac(kGly, kGoa) += g;
-  }
-  {  // GSAT (GOA + SER): rows -GOA, +GLY, -SER, +HPR.
-    const double g_goa =
-        vmax(kGsat) * dmm(y[kGoa], c.km_goa_gsat) * mm(y[kSer], c.km_ser_gsat);
-    const double g_ser =
-        vmax(kGsat) * mm(y[kGoa], c.km_goa_gsat) * dmm(y[kSer], c.km_ser_gsat);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kGoa, col) -= g;
-      jac(kGly, col) += g;
-      jac(kSer, col) -= g;
-      jac(kHpr, col) += g;
-    };
-    scatter(kGoa, g_goa);
-    scatter(kSer, g_ser);
-  }
-  {  // GDC: rows -2 GLY, +SER.
-    const double g = vmax(kGdc) * dmm(y[kGly], c.km_gly_gdc);
-    jac(kGly, kGly) -= 2.0 * g;
-    jac(kSer, kGly) += g;
-  }
-  {  // HPR reductase: rows -HPR, +GCEA.
-    const double g = vmax(kHprReductase) * dmm(y[kHpr], c.km_hpr);
-    jac(kHpr, kHpr) -= g;
-    jac(kGcea, kHpr) += g;
-  }
-  {  // glycerate kinase: rows -GCEA, +PGA, -ATP.
-    const double g_gcea =
-        vmax(kGceaKinase) * dmm(y[kGcea], c.km_gcea) * mm(y[kAtp], c.km_atp_gceak);
-    const double g_atp =
-        vmax(kGceaKinase) * mm(y[kGcea], c.km_gcea) * dmm(y[kAtp], c.km_atp_gceak);
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kGcea, col) -= g;
-      jac(kPga, col) += g;
-      jac(kAtp, col) -= g;
-    };
-    scatter(kGcea, g_gcea);
-    scatter(kAtp, g_atp);
-  }
-
-  // --- Pi-translocator export (T3P and PGA legs share the carrier) ----------
-  {
-    const double t3p_leg = (y[kT3p] / c.km_t3p_export) * (y[kT3p] / c.km_t3p_export);
-    const double pga_leg = (y[kPga] / c.km_pga_export) * (y[kPga] / c.km_pga_export);
-    const double dtleg = 2.0 * y[kT3p] / (c.km_t3p_export * c.km_t3p_export);
-    const double dpleg = 2.0 * y[kPga] / (c.km_pga_export * c.km_pga_export);
-    const double load = 1.0 + t3p_leg + pga_leg;
-    const double pi_term = mm(fpc, c.km_pi_cyt_export);
-    const double antiport = c.triose_export_vmax * pi_term * pi_term / load;
-    // dA/d(load-bearing state) and dA/d(cytosolic ester) pieces.
-    const double dA_dtleg = -antiport / load;  // = -Vex p^2 / load^2
-    const double dA_dpleg = dA_dtleg;
-    const auto scatter = [&](std::size_t col, double g_exp, double g_pga) {
-      jac(kT3p, col) -= g_exp;
-      jac(kPga, col) -= g_pga;
-      jac(kT3pc, col) += g_exp + g_pga;
-    };
-    // v_export = A tleg; v_export_pga = A pleg.
-    scatter(kT3p, dA_dtleg * dtleg * t3p_leg + antiport * dtleg,
-            dA_dtleg * dtleg * pga_leg);
-    scatter(kPga, dA_dpleg * dpleg * t3p_leg,
-            dA_dpleg * dpleg * pga_leg + antiport * dpleg);
-    if (!fpc_clamped) {
-      const double dp = dmm(fpc, c.km_pi_cyt_export);
-      for (const PoolTerm& t : kCytosolEster) {
-        // dA = Vex 2 p dp dfpc / load, with dfpc = -w.
-        const double dA =
-            -c.triose_export_vmax * 2.0 * pi_term * dp * t.w / load;
-        scatter(t.idx, dA * t3p_leg, dA * pga_leg);
-      }
-    }
-  }
-
-  // --- cytosolic sucrose path ------------------------------------------------
-  const double f6pc = c.frac_f6p_hep * y[kHePc];
-  const double g1pc = c.frac_g1p_hep * y[kHePc];
-  {  // cytosolic aldolase: v = V mm(T3Pc)^2; rows -2 T3Pc, +FBPc.
-    const double m = mm(y[kT3pc], c.km_t3pc_ald);
-    const double g = vmax(kCytFbpAldolase) * 2.0 * m * dmm(y[kT3pc], c.km_t3pc_ald);
-    jac(kT3pc, kT3pc) -= 2.0 * g;
-    jac(kFbpc, kT3pc) += g;
-  }
-  {  // cytosolic FBPase, F26BP-inhibited: rows -FBPc, +HePc.
-    const double b = c.km_fbpc_fbpase * (1.0 + y[kF26bp] / c.ki_f26bp_fbpase);
-    const double denom = y[kFbpc] + b;
-    const double inv_denom2 = 1.0 / (denom * denom);
-    const double g_fbpc = vmax(kCytFbpase) * b * inv_denom2;
-    const double g_f26 = -vmax(kCytFbpase) * y[kFbpc] *
-                         (c.km_fbpc_fbpase / c.ki_f26bp_fbpase) * inv_denom2;
-    jac(kFbpc, kFbpc) -= g_fbpc;
-    jac(kFbpc, kF26bp) -= g_f26;
-    jac(kHePc, kFbpc) += g_fbpc;
-    jac(kHePc, kF26bp) += g_f26;
-  }
-  {  // UDPGP: rows -HePc, +UDPG.
-    const double g = vmax(kUdpgp) * dmm(g1pc, c.km_hepc_udpgp) * c.frac_g1p_hep;
-    jac(kHePc, kHePc) -= g;
-    jac(kUdpg, kHePc) += g;
-  }
-  {  // SPS (UDPG + F6Pc): rows -HePc, -UDPG, +SUCP.
-    const double g_udpg =
-        vmax(kSps) * dmm(y[kUdpg], c.km_udpg_sps) * mm(f6pc, c.km_hepc_sps);
-    const double g_hepc = vmax(kSps) * mm(y[kUdpg], c.km_udpg_sps) *
-                          dmm(f6pc, c.km_hepc_sps) * c.frac_f6p_hep;
-    const auto scatter = [&](std::size_t col, double g) {
-      jac(kHePc, col) -= g;
-      jac(kUdpg, col) -= g;
-      jac(kSucp, col) += g;
-    };
-    scatter(kUdpg, g_udpg);
-    scatter(kHePc, g_hepc);
-  }
-  {  // SPP: row -SUCP (sucrose leaves the modeled system).
-    jac(kSucp, kSucp) -= vmax(kSpp) * dmm(y[kSucp], c.km_sucp_spp);
-  }
-  {  // F26BPase: rows -F26BP, +HePc.
-    const double g = vmax(kF26bpase) * dmm(y[kF26bp], c.km_f26bp_f26bpase);
-    jac(kF26bp, kF26bp) -= g;
-    jac(kHePc, kF26bp) += g;
-  }
-  {  // F26BP synthesis: rows +F26BP, -HePc.
-    const double g =
-        c.f26bp_synthesis_rate * dmm(f6pc, c.km_hepc_f26bpsyn) * c.frac_f6p_hep;
-    jac(kF26bp, kHePc) += g;
-    jac(kHePc, kHePc) -= g;
-  }
-
-  // --- ATP synthase: v = C mm(ADP) mm(fp); row +ATP --------------------------
-  {
-    const double g_atp = c.atp_synthesis_vmax * dmm(adp, c.km_adp_atpsyn) *
-                         dadp_datp * mm(fp, c.km_pi_atpsyn);
-    jac(kAtp, kAtp) += g_atp;
-    if (!fp_clamped) {
-      const double coeff =
-          c.atp_synthesis_vmax * mm(adp, c.km_adp_atpsyn) * dmm(fp, c.km_pi_atpsyn);
-      for (const PoolTerm& t : kStromalEster) {
-        jac(kAtp, t.idx) += coeff * (-t.w);
-      }
-    }
-  }
+    });
+  });
+  if (dydt != nullptr) apply_stoichiometry(r, *dydt);
 }
 
 void C3Model::derivatives_and_jacobian(std::span<const double> y,
                                        std::span<const double> mult,
                                        num::Vec& dydt, num::Matrix& jac) const {
-  derivatives(y, mult, dydt);
-  jacobian_at(y, mult, jac);
+  jacobian_at(y, mult, jac, &dydt);
 }
+
+struct C3Model::AtPartition {
+  const C3Model& model;
+  std::span<const double> mult;
+
+  void operator()(std::span<const double> y, num::Vec& dydt) const {
+    model.derivatives(y, mult, dydt);
+  }
+  void operator()(double, std::span<const double> y, num::Vec& dydt) const {
+    model.derivatives(y, mult, dydt);
+  }
+  void operator()(std::span<const double> y, num::Matrix& jac) const {
+    model.jacobian_at(y, mult, jac);
+  }
+  void operator()(double, std::span<const double> y, num::Matrix& jac) const {
+    model.jacobian_at(y, mult, jac);
+  }
+};
 
 namespace {
 
@@ -705,17 +606,10 @@ constexpr double kAliveUptake = 0.5;
 SteadyState C3Model::solve_from(std::span<const double> start,
                                 std::span<const double> mult,
                                 bool allow_fallback) const {
-  // NonlinearSystem/JacobianFn are non-owning FunctionRefs: the lambdas must
-  // be NAMED locals that outlive every solver call below.
-  const auto system_fn = [this, mult](std::span<const double> y,
-                                      num::Vec& out) {
-    derivatives(y, mult, out);
-  };
-  const num::NonlinearSystem system = system_fn;
-  const auto jacobian_fn = [this, mult](std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
+  // The solver callables are non-owning FunctionRefs: `at` must be a NAMED
+  // local that outlives every solver call below.
+  const AtPartition at{*this, mult};
+  const num::NonlinearSystem system = at;
 
   // Rate magnitudes are O(10) mmol/l/s; a residual of 1e-6 is already ~7
   // orders below the fluxes of interest and the numeric-Jacobian Newton
@@ -725,9 +619,7 @@ SteadyState C3Model::solve_from(std::span<const double> start,
   nopts.tolerance = 2e-3;
   nopts.state_floor = 1e-12;
   nopts.chord_max_age = std::max<std::size_t>(config_.chord_max_age, 1);
-  if (config_.analytic_jacobian) {
-    nopts.jacobian = jacobian_fn;
-  }
+  if (config_.analytic_jacobian) nopts.jacobian = at;
 
   SteadyState ss;
   const auto tally = [&ss](const num::NewtonResult& r) {
@@ -779,19 +671,8 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     iopts.initial_step = 1e-3;
     iopts.state_floor = 0.0;
     iopts.max_step = 50.0;
-    const auto ode_jacobian_fn = [this, mult](double, std::span<const double> y,
-                                              num::Matrix& jac) {
-      jacobian_at(y, mult, jac);
-    };
-    if (config_.analytic_jacobian) {
-      iopts.jacobian = ode_jacobian_fn;
-    }
-
-    const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                     num::Vec& dydt) {
-      derivatives(y, mult, dydt);
-    };
-    const num::OdeRhs rhs = rhs_fn;
+    if (config_.analytic_jacobian) iopts.jacobian = at;
+    const num::OdeRhs rhs = at;
 
     num::Vec y(start.begin(), start.end());
     double t = 0.0;
@@ -827,32 +708,18 @@ SteadyState C3Model::solve_from(std::span<const double> start,
   return ss;
 }
 
-SteadyState C3Model::newton_attempt(std::span<const double> start,
-                                    std::span<const double> mult) const {
-  return solve_from(start, mult, /*allow_fallback=*/false);
-}
-
 SteadyState C3Model::quick_attempt(std::span<const double> start,
                                    std::span<const double> mult,
                                    const num::LuFactorization* warm_lu) const {
-  const auto system_fn = [this, mult](std::span<const double> y,
-                                      num::Vec& out) {
-    derivatives(y, mult, out);
-  };
-  const num::NonlinearSystem system = system_fn;
-  const auto jacobian_fn = [this, mult](std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
+  const AtPartition at{*this, mult};
+  const num::NonlinearSystem system = at;
   num::NewtonOptions nopts;
   nopts.max_iterations = 30;
   nopts.tolerance = 2e-3;
   nopts.state_floor = 1e-12;
   nopts.chord_max_age = std::max<std::size_t>(config_.chord_max_age, 1);
   nopts.warm_lu = warm_lu;
-  if (config_.analytic_jacobian) {
-    nopts.jacobian = jacobian_fn;
-  }
+  if (config_.analytic_jacobian) nopts.jacobian = at;
   num::NewtonResult newton = num::solve_newton(system, start, nopts);
   SteadyState ss;
   ss.newton_iterations = newton.iterations;
@@ -1047,7 +914,8 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
     }
   }
   for (const num::Vec& anchor : anchors_) {
-    if (auto alive = consider(newton_attempt(anchor, mult), false)) {
+    if (auto alive =
+            consider(solve_from(anchor, mult, /*allow_fallback=*/false), false)) {
       return finalize(std::move(*alive));
     }
   }
@@ -1108,19 +976,9 @@ SteadyState C3Model::cycle_average(std::span<const double> start,
   iopts.initial_step = 1e-3;
   iopts.state_floor = 0.0;
   iopts.max_step = kCycleMaxStep;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
-  if (config_.analytic_jacobian) {
-    iopts.jacobian = jacobian_fn;
-  }
-
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
+  const AtPartition at{*this, mult};
+  if (config_.analytic_jacobian) iopts.jacobian = at;
+  const num::OdeRhs rhs = at;
 
   SteadyState ss;
   // Skip the initial transient, then average over a sampling window.

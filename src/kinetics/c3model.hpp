@@ -151,8 +151,8 @@ struct C3Config {
   // iteration, cold starts) — the bench's reference configuration.  Either
   // way results stay bit-identical for any thread count; the knobs trade
   // work per solve only.
-  /// Closed-form dF/dx via derivatives_and_jacobian() instead of the n+1
-  /// finite-difference RHS evaluations per Newton iteration.
+  /// dF/dx from the rate laws' dual pass (derivatives_and_jacobian())
+  /// instead of n+1 finite-difference RHS evaluations per Newton iteration.
   bool analytic_jacobian = true;
   /// Chord-Newton: iterations that may reuse one LU factorization before a
   /// mandatory refresh (1 = classic Newton).  Stalls and damping collapses
@@ -256,10 +256,10 @@ class C3Model {
   void derivatives(std::span<const double> y, std::span<const double> mult,
                    num::Vec& dydt) const;
 
-  /// dy/dt and its closed-form Jacobian jac(r, c) = d(dy_r/dt)/dy_c at state
-  /// y — the rate laws are all rational functions, so the Jacobian is exact
-  /// (guarded against finite differences by a randomized differential test).
-  /// `jac` is resized/zeroed as needed.
+  /// dy/dt and its Jacobian jac(r, c) = d(dy_r/dt)/dy_c at state y from one
+  /// pass of the rate laws in forward-mode dual arithmetic (exact up to
+  /// rounding; guarded against finite differences by a differential test).
+  /// `dydt` equals derivatives() bitwise; `jac` is resized/zeroed as needed.
   void derivatives_and_jacobian(std::span<const double> y,
                                 std::span<const double> mult, num::Vec& dydt,
                                 num::Matrix& jac) const;
@@ -345,10 +345,14 @@ class C3Model {
   /// Work counters in `out` reflect only this lookup (one RHS evaluation).
   bool pool_exact_lookup(std::span<const double> mult, SteadyState& out) const;
 
-  /// Fills jac with the closed-form Jacobian only (shared by the public
-  /// derivatives_and_jacobian and the solver's num::JacobianFn).
+  /// The dual pass behind derivatives_and_jacobian: fills jac, and dydt
+  /// when given.  The solvers' num::JacobianFn calls it without dydt.
   void jacobian_at(std::span<const double> y, std::span<const double> mult,
-                   num::Matrix& jac) const;
+                   num::Matrix& jac, num::Vec* dydt = nullptr) const;
+
+  /// The model at one partition as num::NonlinearSystem, JacobianFn, OdeRhs
+  /// and OdeJacobian; solver options borrow it, so it must outlive them.
+  struct AtPartition;
 
   /// Stages a living steady state in the warm-start pool; outside core
   /// parallel regions it commits immediately (sequential callers keep the
@@ -372,10 +376,6 @@ class C3Model {
   /// (the constants sit next to the definition).
   [[nodiscard]] SteadyState cycle_average(std::span<const double> start,
                                           std::span<const double> mult) const;
-
-  /// Newton-only attempt from one starting state (no integration).
-  [[nodiscard]] SteadyState newton_attempt(std::span<const double> start,
-                                           std::span<const double> mult) const;
 
   /// Short-budget damped Newton for warm starts: a good warm start lands in
   /// a handful of iterations, and a bad one must fail FAST so the anchor

@@ -137,8 +137,9 @@ TEST(SessionResumeTest, ResumeOfFinalEpochCheckpointRunsPostStages) {
 TEST(SessionObserverTest, ProgressEventsCarryCumulativeEvalStats) {
   RunSpec spec = kinetic_spec(2);
   std::vector<SessionProgress> events;
-  const RunResult result =
-      run(spec, [&](const SessionProgress& p) { events.push_back(p); });
+  Session session(spec);
+  session.set_observer([&](const SessionProgress& p) { events.push_back(p); });
+  const RunResult result = session.finish();
   ASSERT_EQ(events.size(), spec.generations);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].epoch, i + 1);
@@ -162,8 +163,9 @@ TEST(SessionObserverTest, ProgressEventsCarryCumulativeEvalStats) {
 TEST(SessionObserverTest, FinalProgressFingerprintIsTheRunFingerprint) {
   const RunSpec spec = zdt_spec();
   std::vector<SessionProgress> events;
-  const RunResult result =
-      run(spec, [&](const SessionProgress& p) { events.push_back(p); });
+  Session session(spec);
+  session.set_observer([&](const SessionProgress& p) { events.push_back(p); });
+  const RunResult result = session.finish();
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.back().fingerprint, result.fingerprint);
 }
