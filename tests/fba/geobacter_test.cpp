@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "fba/fba.hpp"
 #include "fba/geobacter_problem.hpp"
 
@@ -120,6 +123,38 @@ TEST(GeobacterProblemTest, EvaluateScoresFluxVector) {
   const auto [ep, bp] = GeobacterProblem::to_paper_units(f);
   EXPECT_GT(ep, 100.0);
   EXPECT_GT(bp, 0.2);
+}
+
+// The seven LP seeds (max-EP, max-BP, five epsilon-constraint points) are
+// the only place tier-1 reaches the simplex at genome scale.  Their bits are
+// pinned: an FNV-1a hash over every flux of every seed, in suggest_initial
+// order.  Any change to the LP solver or the LU under it that moves one bit
+// of one flux fails here; a deliberate change records the new constant with
+// its evidence.
+TEST(GeobacterProblemTest, LpSeedsArePinnedBitwise) {
+  auto net = std::make_shared<const MetabolicNetwork>(build_geobacter());
+  GeobacterProblemOptions opts;
+  opts.nullspace_repair = false;
+  opts.lp_seeding = true;
+  const GeobacterProblem p(net, opts);
+
+  num::Rng rng(1);
+  std::vector<num::Vec> seeds(7);
+  ASSERT_EQ(p.suggest_initial(seeds, rng), 7u);
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const num::Vec& seed : seeds) {
+    ASSERT_EQ(seed.size(), 608u);
+    for (const double flux : seed) {
+      const auto bits = std::bit_cast<std::uint64_t>(flux);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffULL;
+        h *= 0x100000001b3ULL;  // FNV prime
+      }
+    }
+  }
+  constexpr std::uint64_t kPinned = 0xe310cdefb0dd5926ULL;
+  EXPECT_EQ(h, kPinned) << "LP seed hash 0x" << std::hex << h;
 }
 
 TEST(GeobacterProblemTest, ViolationMeasuresSteadyStateResidual) {
