@@ -23,6 +23,33 @@ const OdeRhs kStiff = [](double t, std::span<const double> y, Vec& d) {
   d[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
 };
 
+// Robertson's chemical kinetics (Hairer & Wanner, Solving ODEs II, §IV.1):
+// rate constants spanning 11 orders of magnitude, the standard stiff test.
+const OdeRhs kRobertson = [](double, std::span<const double> y, Vec& d) {
+  d[0] = -0.04 * y[0] + 1e4 * y[1] * y[2];
+  d[1] = 0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] * y[1];
+  d[2] = 3e7 * y[1] * y[1];
+};
+
+const OdeJacobian kRobertsonJacobian = [](double, std::span<const double> y,
+                                          Matrix& j) {
+  j(0, 0) = -0.04;
+  j(0, 1) = 1e4 * y[2];
+  j(0, 2) = 1e4 * y[1];
+  j(1, 0) = 0.04;
+  j(1, 1) = -1e4 * y[2] - 6e7 * y[1];
+  j(1, 2) = -1e4 * y[1];
+  j(2, 1) = 6e7 * y[1];
+};
+
+OdeResult integrate_robertson() {
+  OdeOptions opts;
+  opts.initial_step = 1e-6;
+  opts.max_step = 10.0;
+  opts.jacobian = kRobertsonJacobian;
+  return integrate(kRobertson, 0.0, Vec{1.0, 0.0, 0.0}, 40.0, opts);
+}
+
 // Acceptance tolerance on the final value.
 constexpr double kTolerance = 1e-4;
 
@@ -90,6 +117,22 @@ TEST(OdeTest, ZeroLengthIntervalIsIdentity) {
   EXPECT_TRUE(r.success);
   EXPECT_DOUBLE_EQ(r.y[0], 0.7);
   EXPECT_EQ(r.steps, 0u);
+}
+
+// The final state of one stiff run, pinned to the bit (hex floats recorded
+// from the dense-LU, three-factorizations-per-attempt driver).  A change to
+// how ROW2 schedules its work must leave every bit where it was.
+TEST(OdeTest, RobertsonFinalStateIsPinned) {
+  const OdeResult r = integrate_robertson();
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.steps, 98u);
+  EXPECT_EQ(r.rejected, 1u);
+  ASSERT_EQ(r.y.size(), 3u);
+  EXPECT_EQ(r.y[0], 0x1.6e80d87f03ac4p-1);
+  EXPECT_EQ(r.y[1], 0x1.34375cb8dd83bp-17);
+  EXPECT_EQ(r.y[2], 0x1.22fbe6933f369p-2);
+  EXPECT_EQ(r.t, 40.0);
+  EXPECT_EQ(r.last_step, 0x1.05d3ad6b1b52dp+1);
 }
 
 }  // namespace
