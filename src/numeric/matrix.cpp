@@ -81,13 +81,31 @@ std::optional<LuFactorization> LuFactorization::compute(const Matrix& a,
   return f;
 }
 
+namespace {
+
+/// Grows a pattern buffer to at least `need` slots.  Only a new high-water
+/// mark allocates; refactors of the same shape reuse the storage.
+template <class V>
+void reserve_slots(V& v, std::size_t need) {
+  if (v.size() < need) v.resize(std::max(need, 2 * v.size()));
+}
+
+}  // namespace
+
 bool LuFactorization::factor(const Matrix& a, double pivot_tol) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
+  assert(n < (std::size_t{1} << 32));
   lu_ = a;  // vector copy-assignment: reuses capacity once warmed up
   perm_.resize(n);
   sign_ = 1;
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+  l_start_.resize(n + 1);
+  u_start_.resize(n + 1);
+  l_start_[0] = 0;
+  u_start_[0] = 0;
+  std::size_t nl = 0;
+  std::size_t nu = 0;
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude entry in column k.
@@ -106,14 +124,40 @@ bool LuFactorization::factor(const Matrix& a, double pivot_tol) {
       std::swap(perm_[k], perm_[piv]);
       sign_ = -sign_;
     }
+    // Row k is final from here on: record U's nonzeros right of the
+    // diagonal.  Every slot is written; only a nonzero advances the count.
+    reserve_slots(u_col_, nu + n);
+    reserve_slots(u_val_, nu + n);
+    const double* u_row = lu_.row(k).data();
+    for (std::size_t c = k + 1; c < n; ++c) {
+      u_col_[nu] = static_cast<std::uint32_t>(c);
+      u_val_[nu] = u_row[c];
+      nu += u_row[c] != 0.0;
+    }
+    u_start_[k + 1] = static_cast<std::uint32_t>(nu);
+
+    reserve_slots(l_row_, nl + n);
+    reserve_slots(l_val_, nl + n);
     const double inv_piv = 1.0 / lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
       const double m = lu_(r, k) * inv_piv;
       lu_(r, k) = m;
       if (m == 0.0) continue;
+      // Keyed by the row's identity: later swaps may still move it.
+      l_row_[nl] = static_cast<std::uint32_t>(perm_[r]);
+      l_val_[nl] = m;
+      ++nl;
       for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= m * lu_(k, c);
     }
+    l_start_[k + 1] = static_cast<std::uint32_t>(nl);
   }
+
+  // Map each multiplier's row identity to the row's final position.
+  position_of_row_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    position_of_row_[perm_[i]] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t p = 0; p < nl; ++p) l_row_[p] = position_of_row_[l_row_[p]];
   return true;
 }
 
@@ -128,16 +172,21 @@ void LuFactorization::solve_into(std::span<const double> b, Vec& x) const {
   assert(b.size() == n);
   assert(x.data() != b.data());
   x.resize(n);
-  // Apply permutation and forward-substitute L (unit diagonal).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[perm_[i]];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-    x[i] = acc;
+  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
+  // Forward-substitute L (unit diagonal) column by column: every x[i] still
+  // takes its terms in ascending column order, as the dense row loop does.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    for (std::uint32_t p = l_start_[k]; p < l_start_[k + 1]; ++p) {
+      x[l_row_[p]] -= l_val_[p] * xk;
+    }
   }
   // Back-substitute U.
   for (std::size_t ii = n; ii-- > 0;) {
     double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
+    for (std::uint32_t p = u_start_[ii]; p < u_start_[ii + 1]; ++p) {
+      acc -= u_val_[p] * x[u_col_[p]];
+    }
     x[ii] = acc / lu_(ii, ii);
   }
 }

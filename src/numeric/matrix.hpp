@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -75,6 +76,19 @@ class Matrix {
 
 /// LU factorization with partial pivoting of a square matrix.
 /// Usable for repeated solves against the same matrix.
+///
+/// factor() runs the dense partial-pivot elimination and, as it goes,
+/// records where the factors are nonzero: U row k's columns at step k (row k
+/// is final once its pivot is swapped in), and L column k's multipliers
+/// keyed by row identity, mapped to their final positions after the last
+/// row swap.  solve_into() then walks only those entries, in the same
+/// ascending order the dense triangular loops use.  The only terms it drops
+/// are exact `acc -= 0 * x` terms, so for finite data a solution equals the
+/// dense solve's bitwise, except that +0 and -0 may trade places; with
+/// non-finite data, whether the result is all finite still agrees.  The
+/// pattern is O(nnz) storage with 32-bit indices; it allocates nothing once
+/// warm to the densest pattern factored so far.  The dense oracle the
+/// contract is tested against lives in tests/numeric/lu_oracle.hpp.
 class LuFactorization {
  public:
   /// Factors `a`; returns std::nullopt when the matrix is (numerically)
@@ -100,10 +114,24 @@ class LuFactorization {
 
   [[nodiscard]] std::size_t size() const { return lu_.rows(); }
 
+  /// The packed factors, as the dense elimination leaves them: the unit
+  /// lower triangle's multipliers below the diagonal, U on and above it.
+  [[nodiscard]] const Matrix& factors() const { return lu_; }
+  /// Row permutation: row i of the factors is row permutation()[i] of A.
+  [[nodiscard]] std::span<const std::size_t> permutation() const { return perm_; }
+
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
   int sign_ = 1;
+  // L by column: column k's multipliers are l_val_[l_start_[k] ..
+  // l_start_[k + 1]), in rows l_row_[...].  U by row: row k's entries right
+  // of the diagonal are u_val_[u_start_[k] .. u_start_[k + 1]), in columns
+  // u_col_[...], ascending.  l_row_ and u_col_ keep spare room past their
+  // last used slot so recording never reallocates once warm.
+  std::vector<std::uint32_t> l_start_, l_row_, u_start_, u_col_;
+  Vec l_val_, u_val_;
+  std::vector<std::uint32_t> position_of_row_;  // factor() scratch
 };
 
 /// Convenience: solve A x = b once; nullopt if singular.
