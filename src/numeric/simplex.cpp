@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace rmp::num {
 
@@ -45,6 +46,16 @@ class SimplexSolver {
         upper_(p.upper) {
     lower_.resize(n_ + m_, 0.0);
     upper_.resize(n_ + m_, kLpInfinity);
+    col_start_.reserve(n_ + 1);
+    col_start_.push_back(0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      for (std::size_t i = 0; i < m_; ++i) {
+        if (a_(i, j) == 0.0) continue;
+        col_row_.push_back(static_cast<std::uint32_t>(i));
+        col_val_.push_back(a_(i, j));
+      }
+      col_start_.push_back(static_cast<std::uint32_t>(col_row_.size()));
+    }
   }
 
   LpSolution solve(const Vec& objective) {
@@ -86,6 +97,20 @@ class SimplexSolver {
   [[nodiscard]] double column_entry(std::size_t row, std::size_t col) const {
     if (col < n_) return row_sign_[row] * a_(row, col);
     return col - n_ == row ? 1.0 : 0.0;
+  }
+
+  /// Calls fn(row, entry) for every nonzero column_entry(row, col), rows
+  /// ascending: the order of a dense walk down the column that skips zeros.
+  template <class Fn>
+  void for_each_entry(std::size_t col, Fn&& fn) const {
+    if (col >= n_) {
+      fn(col - n_, 1.0);
+      return;
+    }
+    for (std::uint32_t p = col_start_[col]; p < col_start_[col + 1]; ++p) {
+      const std::size_t row = col_row_[p];
+      fn(row, row_sign_[row] * col_val_[p]);
+    }
   }
 
   [[nodiscard]] double value_of(std::size_t col) const {
@@ -183,10 +208,7 @@ class SimplexSolver {
         if (status_[j] == VarStatus::kBasic) continue;
         if (lower_[j] == upper_[j] && status_[j] != VarStatus::kFreeAtZero) continue;
         double d = cost[j];
-        for (std::size_t i = 0; i < m_; ++i) {
-          const double e = column_entry(i, j);
-          if (e != 0.0) d -= y[i] * e;
-        }
+        for_each_entry(j, [&](std::size_t i, double e) { d -= y[i] * e; });
         int dir = 0;
         double violation = 0.0;
         if (status_[j] == VarStatus::kAtLower && d < -opts_.optimality_tol) {
@@ -216,11 +238,9 @@ class SimplexSolver {
 
       // Direction through the basis: w = B^{-1} A_e.
       w.assign(m_, 0.0);
-      for (std::size_t i = 0; i < m_; ++i) {
-        const double e = column_entry(i, entering);
-        if (e == 0.0) continue;
+      for_each_entry(entering, [&](std::size_t i, double e) {
         for (std::size_t k = 0; k < m_; ++k) w[k] += binv_(k, i) * e;
-      }
+      });
 
       // Ratio test: basic variables move by -t*dir*w; find the binding limit.
       const double sigma = static_cast<double>(entering_dir);
@@ -312,22 +332,22 @@ class SimplexSolver {
 
   /// Rebuild B^{-1} and the basic values from the basis definition.
   void refactorize() {
-    Matrix basis_matrix(m_, m_);
+    basis_matrix_.reshape(m_, m_);
     for (std::size_t i = 0; i < m_; ++i) {
       for (std::size_t pos = 0; pos < m_; ++pos) {
-        basis_matrix(i, pos) = column_entry(i, basis_[pos]);
+        basis_matrix_(i, pos) = column_entry(i, basis_[pos]);
       }
     }
-    auto lu = LuFactorization::compute(basis_matrix, 1e-14);
-    if (!lu) return;  // keep the updated inverse; nothing better available
+    // Keep the updated inverse when B is singular: nothing better available.
+    if (!basis_lu_.factor(basis_matrix_, 1e-14)) return;
 
     // Columns of B^{-1} are solutions of B z = e_i.
-    Vec e(m_, 0.0);
+    unit_.assign(m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
-      e.assign(m_, 0.0);
-      e[i] = 1.0;
-      const Vec z = lu->solve(e);
-      for (std::size_t r = 0; r < m_; ++r) binv_(r, i) = z[r];
+      unit_[i] = 1.0;
+      basis_lu_.solve_into(unit_, column_);
+      unit_[i] = 0.0;
+      for (std::size_t r = 0; r < m_; ++r) binv_(r, i) = column_[r];
     }
 
     // Recompute x_B = B^{-1} (b' - N x_N) with signed rows.
@@ -337,10 +357,7 @@ class SimplexSolver {
       if (status_[j] == VarStatus::kBasic) continue;
       const double v = value_of(j);
       if (v == 0.0) continue;
-      for (std::size_t i = 0; i < m_; ++i) {
-        const double ce = column_entry(i, j);
-        if (ce != 0.0) rhs[i] -= ce * v;
-      }
+      for_each_entry(j, [&](std::size_t i, double ce) { rhs[i] -= ce * v; });
     }
     xb_ = binv_.multiply(rhs);
     pivots_since_refactor_ = 0;
@@ -349,6 +366,10 @@ class SimplexSolver {
   const LpOptions opts_;
   std::size_t m_, n_;
   const Matrix& a_;
+  // Column index of a_'s nonzeros: column j's are col_val_[col_start_[j] ..
+  // col_start_[j + 1]) in rows col_row_[...], ascending.
+  std::vector<std::uint32_t> col_start_, col_row_;
+  Vec col_val_;
   Vec b_;
   Vec lower_, upper_;  // extended with artificial bounds
 
@@ -358,6 +379,10 @@ class SimplexSolver {
   Vec row_sign_;                        // +-1 row orientation chosen at init
   Matrix binv_;
   Vec xb_;
+  // refactorize() scratch, reused across rebuilds.
+  Matrix basis_matrix_;
+  LuFactorization basis_lu_;
+  Vec unit_, column_;
   std::size_t pivots_since_refactor_ = 0;
 };
 

@@ -10,7 +10,13 @@
 //     is suspected,
 //   * dense explicit basis inverse maintained by product-form updates with
 //     periodic refactorization for numerical hygiene.
-// Dimensions of interest (~500 rows x ~600 columns) are comfortably dense.
+// The genome-scale instances (~500 rows x ~600 columns) are a few percent
+// nonzero, so the solver builds a column index of the constraint matrix's
+// nonzeros once and prices, forms B^-1 a_j and rebuilds the basic values by
+// walking it, in the dense loops' row order (only exact-zero terms are
+// skipped, so results are bitwise those of the dense walk).  The inverse's
+// rebuild solves against an LU whose solves walk the factors' nonzero
+// pattern (matrix.hpp).
 #pragma once
 
 #include <limits>
