@@ -46,25 +46,27 @@ void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
   }
 }
 
-// One ROS2 step (Verwer's 2-stage, order-2, L-stable Rosenbrock) from (t, y)
-// with step h, using the supplied Jacobian.  Returns false when the linear
-// solve fails (singular W).
-bool ros2_step(OdeRhs f, double t, const Vec& y, double h, const Matrix& j,
-               Vec& y_new, Workspace& ws, OdeResult& stats) {
-  const std::size_t n = y.size();
+/// Factors W = I - gamma h J into `lu` (W built in the caller's scratch `w`),
+/// counting the factorization.  False when W is singular.
+bool factor_w(const Matrix& j, double h, Matrix& w, LuFactorization& lu,
+              OdeResult& stats) {
+  const std::size_t n = j.rows();
   const double gamma = 1.0 - 1.0 / std::sqrt(2.0);
-  ScratchMat w(ws, n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c)
       w(r, c) = (r == c ? 1.0 : 0.0) - gamma * h * j(r, c);
-  ScratchLu lu(ws);
-  if (!lu.get().factor(w.get())) return false;
+  ++stats.lu_factorizations;
+  return lu.factor(w);
+}
 
-  ScratchVec f0(ws, n), k1(ws, n), y1(ws, n), f1(ws, n), rhs2(ws, n), k2(ws, n);
-  f0.get().assign(n, 0.0);
-  f(t, y, f0.get());
-  ++stats.rhs_evals;
-  lu.get().solve_into(f0, k1.get());
+// One ROS2 step (Verwer's 2-stage, order-2, L-stable Rosenbrock) from (t, y)
+// with step h, given f0 = f(t, y) and W = I - gamma h J already factored.
+void ros2_step(OdeRhs f, double t, const Vec& y, const Vec& f0, double h,
+               const LuFactorization& lu, Vec& y_new, Workspace& ws,
+               OdeResult& stats) {
+  const std::size_t n = y.size();
+  ScratchVec k1(ws, n), y1(ws, n), f1(ws, n), rhs2(ws, n), k2(ws, n);
+  lu.solve_into(f0, k1.get());
 
   y1.get() = y;
   axpy(y1.get(), h, k1);
@@ -72,11 +74,10 @@ bool ros2_step(OdeRhs f, double t, const Vec& y, double h, const Matrix& j,
   f(t + h, y1, f1.get());
   ++stats.rhs_evals;
   for (std::size_t i = 0; i < n; ++i) rhs2[i] = f1[i] - 2.0 * k1[i];
-  lu.get().solve_into(rhs2, k2.get());
+  lu.solve_into(rhs2, k2.get());
 
   y_new = y;
   for (std::size_t i = 0; i < n; ++i) y_new[i] += h * (1.5 * k1[i] + 0.5 * k2[i]);
-  return true;
 }
 
 /// Builds the augmented-system Jacobian (df/dy block; appended time state
@@ -96,11 +97,17 @@ void rosenbrock_jacobian(OdeRhs f, OdeJacobian user_jac, double t,
   } else {
     fd_jacobian(f, t, y_aug, 1e-7, ws, j, res.rhs_evals);
   }
+  ++res.jacobian_evals;
 }
 
 // Rosenbrock-W driver with step-doubling (Richardson) error control: the
 // naive embedded order-1 estimate of ROS2 is wildly pessimistic on stiff
 // components, so each step is compared against two half steps instead.
+// Both half steps use the same W(h/2), so an attempt factors two matrices,
+// W(h) and W(h/2), and the full step and the first half step share
+// f(t, y): 2 LUs and 5 RHS evaluations per attempt.  A rejected attempt
+// retries from the same (t, y), so it keeps J and f(t, y) and costs 4 RHS
+// evaluations and no Jacobian.
 //
 // ROS2's order-2 accuracy requires an autonomous system; time is therefore
 // appended as an extra state (Y = [y; t], dt/dt = 1), which also makes the
@@ -127,21 +134,28 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
   const std::size_t n = res.y.size();
 
   ScratchVec y_full(ws, n), y_half(ws, n), y_two(ws, n), err(ws, n);
-  ScratchMat j(ws, n, n);
+  ScratchVec f0(ws, n), f_half(ws, n);
+  ScratchMat j(ws, n, n), w(ws, n, n);
+  ScratchLu lu_full(ws), lu_half(ws);
   double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
+  bool fresh = true;  // (t, y) moved since J and f(t, y) were evaluated
 
   while (res.t < t_end && res.steps < opts.max_steps) {
     res.last_step = h;  // the controller's h, before end-of-interval truncation
     h = std::min(h, t_end - res.t);
 
-    rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
-                        res);
+    if (fresh) {
+      rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
+                          res);
+      f0.get().assign(n, 0.0);
+      f(res.t, res.y, f0.get());
+      ++res.rhs_evals;
+      fresh = false;
+    }
 
     const bool ok =
-        ros2_step(f, res.t, res.y, h, j.get(), y_full.get(), ws, res) &&
-        ros2_step(f, res.t, res.y, 0.5 * h, j.get(), y_half.get(), ws, res) &&
-        ros2_step(f, res.t + 0.5 * h, y_half.get(), 0.5 * h, j.get(),
-                  y_two.get(), ws, res);
+        factor_w(j.get(), h, w.get(), lu_full.get(), res) &&
+        factor_w(j.get(), 0.5 * h, w.get(), lu_half.get(), res);
     if (!ok) {
       h *= 0.5;
       ++res.rejected;
@@ -151,6 +165,14 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
       }
       continue;
     }
+    ros2_step(f, res.t, res.y, f0, h, lu_full.get(), y_full.get(), ws, res);
+    ros2_step(f, res.t, res.y, f0, 0.5 * h, lu_half.get(), y_half.get(), ws,
+              res);
+    f_half.get().assign(n, 0.0);
+    f(res.t + 0.5 * h, y_half, f_half.get());
+    ++res.rhs_evals;
+    ros2_step(f, res.t + 0.5 * h, y_half.get(), f_half, 0.5 * h,
+              lu_half.get(), y_two.get(), ws, res);
 
     // Richardson: for an order-2 method the half-step solution's error is
     // ~(y_two - y_full) / 3; local extrapolation gives one extra order.
@@ -168,6 +190,7 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
       }
       res.y[n_user] = res.t;  // keep the time state exact
       ++res.steps;
+      fresh = true;
       const double factor =
           en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
       h = std::clamp(h * factor, opts.min_step, opts.max_step);

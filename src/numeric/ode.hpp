@@ -4,8 +4,9 @@
 // Michaelis-Menten rate equations; the paper's substrate (SUNDIALS-class
 // solvers) is reproduced here with one linearly implicit method: a
 // 2nd-order L-stable Rosenbrock-W method (ROW2, step-doubling error
-// control) for the stiff transients of the steady-state fallback and the
-// windowed cycle average.  It takes a closed-form Jacobian when the caller
+// control: one full step against two half steps that share W(h/2), so two
+// LU factorizations per attempt) for the stiff transients of the
+// steady-state fallback and the windowed cycle average.  It takes a closed-form Jacobian when the caller
 // supplies one and falls back to forward differences otherwise.
 #pragma once
 
@@ -58,7 +59,13 @@ struct OdeResult {
   double t = 0.0;           ///< time actually reached
   std::size_t steps = 0;    ///< accepted steps
   std::size_t rejected = 0; ///< rejected trial steps
+  /// Work counters.  Each attempt (accepted or rejected) factors W(h) and
+  /// W(h/2).  The first attempt from a given (t, y) evaluates J and 5 RHS;
+  /// a retry after a rejection reuses J and f(t, y) and evaluates 4 RHS.
+  /// rhs_evals also counts a finite-difference Jacobian's n + 1 calls.
   std::size_t rhs_evals = 0;
+  std::size_t lu_factorizations = 0;
+  std::size_t jacobian_evals = 0;
   bool success = false;     ///< reached t_end
   /// Step size the controller would take next — feed it back as
   /// initial_step when integrating onward from res.y (windowed averaging,

@@ -135,5 +135,30 @@ TEST(OdeTest, RobertsonFinalStateIsPinned) {
   EXPECT_EQ(r.last_step, 0x1.05d3ad6b1b52dp+1);
 }
 
+// The work ROW2 spends per attempt, as hard counts: W(h) and W(h/2) are
+// each factored once (both half steps share the second), f(t, y) is shared
+// by the full step and the first half step, and a retry from the same
+// (t, y) reuses J and f(t, y).
+TEST(OdeTest, Row2WorkPerAttempt) {
+  const OdeResult r = integrate_robertson();
+  ASSERT_TRUE(r.success);
+  ASSERT_GT(r.rejected, 0u);  // the run must include a retry
+  const std::size_t attempts = r.steps + r.rejected;
+  EXPECT_EQ(r.lu_factorizations, 2 * attempts);
+  EXPECT_EQ(r.jacobian_evals, r.steps);
+  EXPECT_EQ(r.rhs_evals, 5 * r.steps + 4 * r.rejected);
+
+  // Without a closed-form Jacobian each fresh attempt also pays the n + 1
+  // finite-difference calls on the augmented state [y; t].
+  OdeOptions opts;
+  opts.initial_step = 1e-4;
+  opts.max_step = 0.5;
+  const OdeResult fd = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
+  ASSERT_TRUE(fd.success);
+  EXPECT_EQ(fd.lu_factorizations, 2 * (fd.steps + fd.rejected));
+  EXPECT_EQ(fd.jacobian_evals, fd.steps);
+  EXPECT_EQ(fd.rhs_evals, (5 + 3) * fd.steps + 4 * fd.rejected);
+}
+
 }  // namespace
 }  // namespace rmp::num
