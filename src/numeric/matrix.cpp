@@ -78,6 +78,19 @@ std::optional<LuFactorization> LuFactorization::compute(const Matrix& a,
                                                         double pivot_tol) {
   LuFactorization f;
   if (!f.factor(a, pivot_tol)) return std::nullopt;
+  // A one-shot factorization is often kept (the warm pool's root LUs), so
+  // it drops the spare pattern slots a refactor would reuse.
+  const std::size_t nl = f.l_start_.back();
+  const std::size_t nu = f.u_start_.back();
+  f.l_row_.resize(nl);
+  f.l_row_.shrink_to_fit();
+  f.l_val_.resize(nl);
+  f.l_val_.shrink_to_fit();
+  f.u_col_.resize(nu);
+  f.u_col_.shrink_to_fit();
+  f.u_val_.resize(nu);
+  f.u_val_.shrink_to_fit();
+  f.position_of_row_ = {};
   return f;
 }
 

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,10 +52,18 @@ bool expect_matches_oracle(LuFactorization& lu, const Matrix& a,
           << " vs " << ref.lu(i, c);
     }
   }
+  // compute() returns a compacted copy of the same factorization.
+  const std::optional<LuFactorization> one_shot = LuFactorization::compute(a);
+  EXPECT_TRUE(one_shot.has_value()) << label;
   Vec x;
   for (std::size_t s = 0; s < rhs.size(); ++s) {
     lu.solve_into(rhs[s], x);
     const Vec want = ref.solve(rhs[s]);
+    if (one_shot) {
+      const Vec y = one_shot->solve(rhs[s]);
+      EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end(), same_bits))
+          << label << " compute() rhs " << s;
+    }
     if (!all_finite(rhs[s]) || !all_finite(a.data())) {
       EXPECT_EQ(all_finite(x), all_finite(want)) << label << " rhs " << s;
       continue;
