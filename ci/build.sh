@@ -146,7 +146,10 @@ done
 # kind of bug only ASan sees): the places where an out-of-bounds
 # index or UB-reliant shortcut (the old percentile Release OOB class) would
 # otherwise slip through Release CI.  The golden fingerprint corpus runs
-# here too: its table must match in this Debug build as in Release.
+# here too: its table must match in this Debug build as in Release.  The
+# Geobacter suite and the LU differential test cover the simplex's column
+# index and the LU's recorded nonzero pattern, whose 32-bit slot indices
+# are where an out-of-bounds read would hide.
 # -fno-sanitize-recover (set by RMP_SANITIZE in CMake) turns every UBSan
 # finding into a test failure.
 # Only the affected test binaries are built — the full suite already ran
@@ -158,6 +161,8 @@ SAN_TESTS=(
   moo_operators_test moo_pmo2_test moo_spea2_test moo_testproblems_test
   pareto_coverage_test pareto_front_test pareto_hypervolume_test
   pareto_mining_test
+  fba_geobacter_test
+  numeric_lu_differential_test
   numeric_matrix_test numeric_newton_test numeric_ode_test numeric_rng_test
   numeric_simplex_test numeric_solver_differential_test
   numeric_sparse_test numeric_stats_test numeric_vec_test
