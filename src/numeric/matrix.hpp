@@ -127,8 +127,8 @@ class LuFactorization {
   // L by column: column k's multipliers are l_val_[l_start_[k] ..
   // l_start_[k + 1]), in rows l_row_[...].  U by row: row k's entries right
   // of the diagonal are u_val_[u_start_[k] .. u_start_[k + 1]), in columns
-  // u_col_[...], ascending.  l_row_ and u_col_ keep spare room past their
-  // last used slot so recording never reallocates once warm.
+  // u_col_[...], ascending.  factor() leaves spare slots past the last used
+  // one so warm refactors never reallocate; compute() trims them.
   std::vector<std::uint32_t> l_start_, l_row_, u_start_, u_col_;
   Vec l_val_, u_val_;
   std::vector<std::uint32_t> position_of_row_;  // factor() scratch
