@@ -120,8 +120,8 @@ TEST(OdeTest, ZeroLengthIntervalIsIdentity) {
 }
 
 // The final state of one stiff run, pinned to the bit (hex floats recorded
-// from the dense-LU, three-factorizations-per-attempt driver).  A change to
-// how ROW2 schedules its work must leave every bit where it was.
+// when each attempt still factored three W's with dense LU solves).  A
+// change to how ROW2 schedules its work must leave every bit where it was.
 TEST(OdeTest, RobertsonFinalStateIsPinned) {
   const OdeResult r = integrate_robertson();
   ASSERT_TRUE(r.success);
