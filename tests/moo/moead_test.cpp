@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "kinetics/photosynthesis_problem.hpp"
+#include "kinetics/scenarios.hpp"
+#include "moo/archive.hpp"
 #include "moo/dominance.hpp"
 #include "moo/testproblems.hpp"
 
@@ -133,6 +136,32 @@ TEST(MoeadTest, InjectAcceptsImprovingImmigrant) {
     if (ind.x == imm.x) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// Evidence pin for the evaluation schedule of a standalone run: outside an
+// archipelago the kinetic warm pool commits after every child, so each
+// child warm-starts from the roots of the children before it.  The
+// fingerprint and EvalStats move if that commit timing does (the scenario
+// and seed were chosen so that committing once per generation moves both).
+// Must hold at every evaluation width.
+TEST(MoeadTest, KineticRunIsPinned) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const kinetics::PhotosynthesisProblem problem(
+        kinetics::make_model(*kinetics::scenario_by_label("past-low")));
+    MoeadOptions o;
+    o.population_size = 12;
+    o.seed = 6;
+    o.eval_threads = threads;
+    Moead alg(problem, o);
+    alg.run(4);
+    Archive archive;
+    archive.offer_all(alg.population());
+    const EvalStats stats = problem.eval_stats();
+    EXPECT_EQ(archive.fingerprint(), 0xd54def87c81e31b5ULL) << "threads=" << threads;
+    EXPECT_EQ(stats.evaluations, 60u) << "threads=" << threads;
+    EXPECT_EQ(stats.pool_hits, 2u) << "threads=" << threads;
+    EXPECT_EQ(stats.full_evaluations, 58u) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "kinetics/photosynthesis_problem.hpp"
+#include "kinetics/scenarios.hpp"
 #include "moo/moead.hpp"
 #include "moo/nsga2.hpp"
+#include "moo/spea2.hpp"
 #include "moo/testproblems.hpp"
 #include "moo/topology.hpp"
 #include "pareto/front.hpp"
@@ -394,6 +397,55 @@ TEST(Pmo2Test, StepLeavesCommittedStateUntouchedWhenAnIslandThrows) {
   pmo2.initialize();
   EXPECT_EQ(pmo2.generation(), 0u);
   EXPECT_EQ(pmo2.archive().size(), 2u);
+}
+
+// Evidence pin for the evaluation schedule: a kinetic archipelago with one
+// island of each engine.  The kinetic problem's warm pool makes the timing
+// of every epoch commit observable in the last bits of the roots, so this
+// fingerprint and these EvalStats move if any island's evaluations start
+// reading a different pool snapshot (the scenario and seed were chosen so
+// that committing after every MOEA/D child instead of once per epoch moves
+// both).  Recorded before the islands' evaluations were merged into one
+// batch per round; must hold at every width.
+TEST(Pmo2Test, MixedEngineKineticArchipelagoIsPinned) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const kinetics::PhotosynthesisProblem problem(
+        kinetics::make_model(*kinetics::scenario_by_label("future-low")));
+    Pmo2Options o;
+    o.islands = 3;
+    o.migration_interval = 2;
+    o.migrants_per_edge = 2;
+    o.seed = 5;
+    o.island_threads = threads;
+    Pmo2 pmo2(problem, o,
+              [](const Problem& p, std::uint64_t seed,
+                 std::size_t island) -> std::unique_ptr<Optimizer> {
+                if (island == 0) {
+                  Nsga2Options no;
+                  no.population_size = 8;
+                  no.seed = seed;
+                  return std::make_unique<Nsga2>(p, no);
+                }
+                if (island == 1) {
+                  Spea2Options so;
+                  so.population_size = 8;
+                  so.archive_size = 8;
+                  so.seed = seed;
+                  return std::make_unique<Spea2>(p, so);
+                }
+                MoeadOptions mo;
+                mo.population_size = 8;
+                mo.seed = seed;
+                return std::make_unique<Moead>(p, mo);
+              });
+    pmo2.run(3);
+    const EvalStats stats = problem.eval_stats();
+    EXPECT_EQ(pmo2.archive().fingerprint(), 0xf63d2887ab147994ULL)
+        << "threads=" << threads;
+    EXPECT_EQ(stats.evaluations, 96u) << "threads=" << threads;
+    EXPECT_EQ(stats.pool_hits, 1u) << "threads=" << threads;
+    EXPECT_EQ(stats.full_evaluations, 95u) << "threads=" << threads;
+  }
 }
 
 // Parameterized topology sweep: every topology must complete and archive.

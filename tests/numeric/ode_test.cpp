@@ -135,6 +135,23 @@ TEST(OdeTest, RobertsonFinalStateIsPinned) {
   EXPECT_EQ(r.last_step, 0x1.05d3ad6b1b52dp+1);
 }
 
+// The same run on the finite-difference Jacobian path, pinned the same way.
+TEST(OdeTest, RobertsonFdFinalStateIsPinned) {
+  OdeOptions opts;
+  opts.initial_step = 1e-6;
+  opts.max_step = 10.0;
+  const OdeResult r = integrate(kRobertson, 0.0, Vec{1.0, 0.0, 0.0}, 40.0, opts);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.steps, 98u);
+  EXPECT_EQ(r.rejected, 1u);
+  ASSERT_EQ(r.y.size(), 3u);
+  EXPECT_EQ(r.y[0], 0x1.6e80d8458001dp-1);
+  EXPECT_EQ(r.y[1], 0x1.34377bf8ba8d3p-17);
+  EXPECT_EQ(r.y[2], 0x1.22fbe706080a2p-2);
+  EXPECT_EQ(r.t, 40.0);
+  EXPECT_EQ(r.last_step, 0x1.04c35d63db2cbp+1);
+}
+
 // The work ROW2 spends per attempt, as hard counts: W(h) and W(h/2) are
 // each factored once (both half steps share the second), f(t, y) is shared
 // by the full step and the first half step, and a retry from the same

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "kinetics/photosynthesis_problem.hpp"
+#include "kinetics/scenarios.hpp"
 #include "numeric/stats.hpp"
 
 namespace rmp::robustness {
@@ -223,6 +227,71 @@ TEST(YieldTest, LatinHypercubeLowersEstimatorVariance) {
 TEST(SurfaceTest, EmptyFrontGivesEmptySurface) {
   const PropertyFn f = [](std::span<const double> x) { return x[0]; };
   EXPECT_TRUE(robustness_surface(pareto::Front{}, f, {}).empty());
+}
+
+/// FNV-1a over the bit patterns of `values`.
+std::uint64_t bits_digest(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Evidence pin for the robustness schedule on the kinetic problem, whose
+// warm pool makes the timing of every epoch commit observable in the last
+// bits of the roots: the surface's gammas, then local_yields' per-variable
+// results (gamma, nominal, threshold, worst deviation), bit for bit, plus
+// the EvalStats after each stage.  The scenario and front were chosen so
+// that committing after each pick's ensemble, or after each variable's,
+// moves a digest.  Must hold at every width.
+TEST(SurfaceTest, KineticSurfaceAndLocalYieldsArePinned) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const kinetics::PhotosynthesisProblem problem(
+        kinetics::make_model(*kinetics::scenario_by_label("present-high")));
+    const PropertyFn uptake = [&problem](std::span<const double> x) {
+      num::Vec f(problem.num_objectives());
+      (void)problem.evaluate(x, f);
+      return f[0];
+    };
+    pareto::Front front;
+    num::Rng rng(3);
+    for (int i = 0; i < 8; ++i) {
+      pareto::Individual ind;
+      ind.x.resize(problem.num_variables());
+      for (double& v : ind.x) v = rng.uniform(0.8, 1.25);
+      const double t = i / 7.0;
+      ind.f = {t, 1.0 - t};
+      front.add(ind);
+    }
+    SurfaceConfig cfg;
+    cfg.samples = 4;
+    cfg.threads = threads;
+    cfg.yield.perturbation.global_trials = 6;
+    cfg.yield.perturbation.local_trials_per_variable = 2;
+    cfg.yield.threads = threads;
+    cfg.yield.epoch_commit = [&problem] { problem.commit_epoch(); };
+
+    const auto surface = robustness_surface(front, uptake, cfg);
+    std::vector<double> gammas;
+    for (const SurfacePoint& p : surface) gammas.push_back(p.gamma);
+    const moo::EvalStats after_surface = problem.eval_stats();
+    EXPECT_EQ(bits_digest(gammas), 0xc5a169b9740a91feULL) << "threads=" << threads;
+    EXPECT_EQ(after_surface.pool_hits, 0u) << "threads=" << threads;
+    EXPECT_EQ(after_surface.full_evaluations, 28u) << "threads=" << threads;
+
+    const auto locals = local_yields(front[2].x, uptake, cfg.yield);
+    std::vector<double> local_bits;
+    for (const YieldResult& r : locals) {
+      local_bits.insert(local_bits.end(), {r.gamma, r.nominal_value,
+                                           r.absolute_threshold, r.max_deviation});
+    }
+    const moo::EvalStats after_locals = problem.eval_stats();
+    EXPECT_EQ(bits_digest(local_bits), 0xc8baa2078c72a007ULL) << "threads=" << threads;
+    EXPECT_EQ(after_locals.pool_hits, 0u) << "threads=" << threads;
+    EXPECT_EQ(after_locals.full_evaluations, 75u) << "threads=" << threads;
+  }
 }
 
 }  // namespace
