@@ -1,16 +1,18 @@
-// PMO2 island-scaling benchmark — the repo's perf-trajectory anchor.
+// PMO2 batch-width scaling benchmark — the repo's perf-trajectory anchor.
 //
-// Runs the same seeded archipelago at island_threads in {1, 2, 8}, measures
-// wall time, verifies the bit-identical-archive contract via the archive
-// fingerprint, and emits BENCH_pmo2.json (schema in docs/BENCHMARKS.md):
-// wall seconds per width, speedup vs the 1-thread run, and the hypervolume
-// reached at the evaluation budget.  Exits non-zero when any width's archive
-// fingerprint deviates — the determinism contract is part of the benchmark.
+// Runs the same seeded archipelago at island_threads in {1, 2, 8} — the
+// width of the one batch that scores every island's proposals per round —
+// measures wall time, verifies that the archive stays bit-identical across
+// widths via the archive fingerprint, and emits BENCH_pmo2.json (schema in
+// docs/BENCHMARKS.md): wall seconds per width, speedup vs the 1-thread run,
+// and the hypervolume reached at the evaluation budget.  Exits non-zero when
+// any width's archive fingerprint deviates — the determinism contract is
+// part of the benchmark.
 //
 // The objective function is ZDT1 plus a deterministic spin loop
 // (RMP_EVAL_SPIN iterations) standing in for a kinetic-model solve: bare
-// ZDT1 is far too cheap for coarse-grained island tasks to amortize, real
-// workloads (C3 steady states, FBA solves) are milliseconds per candidate.
+// ZDT1 is far too cheap for a pooled batch to amortize, real workloads (C3
+// steady states, FBA solves) are milliseconds per candidate.
 //
 // Environment knobs: RMP_GENERATIONS (60), RMP_POPULATION (32), RMP_ISLANDS
 // (2), RMP_EVAL_SPIN (400), RMP_BENCH_REPEATS (3; wall time is best-of).

@@ -255,10 +255,12 @@ fi
   || { echo "chaos smoke: event trace violates the protocol grammar" >&2; exit 1; }
 echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint matched"
 
-# ThreadSanitizer lane over the concurrency-bearing binaries: the island
-# engine + migration topology (moo_pmo2), the epoch-committed caches
-# (moo_evalcache covers EvalCache and CachedProblem, kinetics_warm_start the
-# warm pool), the thread-pool core itself, the sentinel suite, and the two
+# ThreadSanitizer lane over the concurrency-bearing binaries: the
+# archipelago's flat per-round batches + migration topology (moo_pmo2), the
+# robustness surface and local yields (robustness_robustness: every pick's
+# or variable's trials run concurrently from one batch), the
+# epoch-committed caches (moo_evalcache covers EvalCache and CachedProblem,
+# kinetics_warm_start the warm pool), the thread-pool core itself, the sentinel suite, and the two
 # differential harnesses that run cached-vs-plain archipelagos at several
 # thread counts.  RelWithDebInfo: TSan's ~10x slowdown on top of -O0 would
 # blow the CI budget, and the contract being checked (mutex-staged writes,
@@ -273,7 +275,7 @@ TSAN_TESTS=(
   core_parallel_test core_sentinel_test
   moo_pmo2_test moo_evalcache_test kinetics_warm_start_test
   integration_cache_differential_test numeric_solver_differential_test
-  api_session_test api_serve_test)
+  api_session_test api_serve_test robustness_robustness_test)
 
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -34,7 +34,7 @@ int main() {
   o.generations = 25;
   o.migration_interval = 8;
   o.seed = 13;
-  o.island_threads = 0;  // islands evolve concurrently; results are thread-invariant
+  o.island_threads = 0;  // one batch per round spans all islands; thread-invariant
   moo::Pmo2 pmo2(problem, o, moo::Pmo2::default_nsga2_factory(30));
   pmo2.run();
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   spec.optimizer = "pmo2?islands=2&migration_interval=20";
   spec.generations = 80;
   spec.seed = 7;
-  spec.threads = 0;  // concurrent islands; thread-invariant results
+  spec.threads = 0;  // every round is one batch over all islands; thread-invariant
   spec.robustness.enabled = true;
   spec.robustness.trials = 400;
   spec.robustness.surface_samples = 12;

@@ -391,15 +391,13 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
             if (engines.empty()) {
               // The paper's heterogeneous default: NSGA-II everywhere, odd
               // islands explore (coarser variation), even islands exploit.
-              // ctx.threads reaches the engines too, so threads=1 means a
-              // genuinely serial run (under concurrent islands the batches
-              // run inline regardless).
-              factory = moo::Pmo2::default_nsga2_factory(population, ctx.threads);
+              factory = moo::Pmo2::default_nsga2_factory(population);
             } else {
               // Heterogeneous archipelago straight from the registry: island
               // i runs the (i mod k)-th named engine.  Engine seeds are the
-              // island streams Pmo2 derives; engine eval batches run inline
-              // under island parallelism (core/parallel re-entrancy).
+              // island streams Pmo2 derives; the archipelago evaluates every
+              // island's proposals in its own batches, so the engines take
+              // no thread budget.
               std::vector<std::string> names = split(engines, ',');
               for (const std::string& name : names) {
                 if (!OptimizerRegistry::global().contains(name)) {
@@ -407,14 +405,12 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
                                   "\" is not a registered optimizer");
                 }
               }
-              const std::size_t eval_threads = ctx.threads;
-              factory = [names, population, eval_threads](
-                            const moo::Problem& island_problem, std::uint64_t seed,
-                            std::size_t island) {
+              factory = [names, population](const moo::Problem& island_problem,
+                                            std::uint64_t seed, std::size_t island) {
                 ParamMap engine_params{{"population", std::to_string(population)}};
                 return OptimizerRegistry::global().make_named(
                     names[island % names.size()], island_problem,
-                    OptimizerContext{seed, eval_threads}, engine_params);
+                    OptimizerContext{seed}, engine_params);
               };
             }
             return std::make_unique<moo::Pmo2>(problem, o, std::move(factory));

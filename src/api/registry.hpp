@@ -104,8 +104,8 @@ class ProblemRegistry {
 /// Seed/threading context a RunSpec hands every optimizer factory.
 struct OptimizerContext {
   std::uint64_t seed = 7;
-  /// Coarse parallelism budget: island_threads for pmo2, eval_threads for
-  /// the single-population engines (0 = hardware concurrency, 1 = serial).
+  /// Batch width: island_threads for pmo2, eval_threads for the
+  /// single-population engines (0 = hardware concurrency, 1 = serial).
   std::size_t threads = 0;
 };
 

@@ -52,8 +52,8 @@ struct RunSpec {
   std::string optimizer = "pmo2";   ///< optimizer reference
   std::size_t generations = 100;
   std::uint64_t seed = 7;
-  /// Coarse thread budget: island_threads for pmo2, eval_threads for the
-  /// single-population engines, and the robustness ensemble width (0 = one
+  /// Batch width: island_threads for pmo2, eval_threads for the
+  /// single-population engines, and the robustness batches' width (0 = one
   /// per hardware context, 1 = serial).  Never changes results.
   std::size_t threads = 0;
   /// Decision vectors of front members in the serialized result (mined

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -12,31 +13,26 @@ namespace rmp::core {
 
 namespace {
 
-/// Set while the current thread is executing batch items (as a pool worker
-/// or as a participating caller).  A nested for_each_index on such a thread
-/// runs inline instead of waiting on the pool, so recursive parallelism can
-/// never deadlock.
-thread_local bool tls_inside_batch = false;
-
 /// Set on every execution path of parallel_for / evaluate_batch (pooled,
 /// inline and serial alike): code observing it via in_deterministic_region()
 /// must behave as a pure function of its inputs.
 thread_local bool tls_deterministic_region = false;
 
 struct DeterministicScope {
-  bool previous = tls_deterministic_region;
   DeterministicScope() { tls_deterministic_region = true; }
-  ~DeterministicScope() { tls_deterministic_region = previous; }
+  ~DeterministicScope() { tls_deterministic_region = false; }
 };
 
-struct BatchScope {
-  // Save/restore rather than set/clear: a nested inline batch must not drop
-  // the guard for the remainder of the outer batch (the second nested call
-  // would otherwise take the pool path and deadlock on client_mu).
-  bool previous = tls_inside_batch;
-  BatchScope() { tls_inside_batch = true; }
-  ~BatchScope() { tls_inside_batch = previous; }
-};
+/// Regions do not nest: a region opened from inside another would either
+/// run inline (hiding the width the caller asked for) or wait on the pool
+/// its own thread is serving.  Callers flatten their work into one batch.
+void forbid_nested_region() {
+  if (tls_deterministic_region) {
+    throw std::logic_error(
+        "core::parallel: a parallel region was opened inside another region; "
+        "flatten the work into one batch instead");
+  }
+}
 
 }  // namespace
 
@@ -74,7 +70,6 @@ struct ThreadPool::Impl {
   /// time; stopping on error matches the serial path, which abandons the
   /// remaining items after the first exception.
   void drain(const std::function<void(std::size_t)>& f, std::size_t n) {
-    BatchScope scope;
     DeterministicScope det;
     std::size_t i;
     while (!has_error.load(std::memory_order_relaxed) &&
@@ -137,11 +132,8 @@ void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn,
                                 std::size_t max_helpers) {
   if (n == 0) return;
-  if (num_workers_ == 0 || n == 1 || max_helpers == 0 || tls_inside_batch) {
-    // No helpers, nothing to split, or already inside a batch: run inline.
-    // No BatchScope here — the inline path holds no pool lock, so nested
-    // parallel regions stay free to use the pool (when the flag is already
-    // set, the outer drain()'s scope keeps it set for us).
+  forbid_nested_region();
+  if (num_workers_ == 0 || n == 1 || max_helpers == 0) {
     DeterministicScope det;
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -177,8 +169,6 @@ void ThreadPool::for_each_index(std::size_t n,
 
 bool in_deterministic_region() { return tls_deterministic_region; }
 
-bool in_pool_batch() { return tls_inside_batch; }
-
 ThreadPool& global_pool() {
   // Workers + the participating caller = hardware concurrency, unless
   // RMP_POOL_WORKERS pins the worker count explicitly.  The override exists
@@ -201,13 +191,11 @@ ThreadPool& global_pool() {
 
 void parallel_for(std::size_t n, std::size_t n_threads,
                   const std::function<void(std::size_t)>& fn) {
+  forbid_nested_region();
   const std::size_t threads = resolve_threads(n_threads);
-  if (threads <= 1 || n < 2 || tls_inside_batch) {
-    // Serial path: no pool lock is held, so no BatchScope — a nested
-    // parallel_for under an explicitly serial outer loop (e.g. a threads=1
-    // surface over threads=0 yields) may still use the pool.  The
-    // deterministic-region flag IS set: results must not depend on which
-    // path executed the items.
+  if (threads <= 1 || n < 2) {
+    // Serial path.  The deterministic-region flag IS set: results must not
+    // depend on which path executed the items.
     DeterministicScope det;
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -11,16 +11,13 @@
 // serial path for any thread count — parallelism changes wall-clock, never
 // answers.
 //
-// Nested-region composition: the system has two parallel tiers — coarse
-// island tasks (Pmo2::step, one task per island) over fine batch evaluation
-// (evaluate_batch inside each island's engine).  A parallel region started
-// from inside a pool batch runs inline on the calling thread instead of
-// re-entering the pool, so an island task's evaluate_batch calls execute
-// serially on the island's thread: the outer tier owns the physical
-// parallelism, total width stays bounded by the outer request, and no
-// combination of tiers can deadlock.  When the outer tier is serial
-// (island_threads = 1), the inner tier is free to use the pool.  See the
-// tuning table in docs/ARCHITECTURE.md.
+// One flat tier: regions do not nest.  Callers that have work at two levels
+// — PMO2's islands and their offspring, the robustness surface's picks and
+// their yield trials — flatten it into one batch of leaf evaluations and
+// reduce in index order afterwards, so every thread of the requested width
+// pulls from the same queue.  A region opened from inside another region
+// (on any execution path, serial ones included) throws std::logic_error.
+// See docs/ARCHITECTURE.md.
 //
 // Layering note: these files live in src/core/ (the paper-pipeline layer)
 // but depend only on the header-only moo::Problem/Individual interfaces and
@@ -44,9 +41,7 @@ namespace rmp::core {
 /// A fixed-size pool of worker threads executing index-parallel batches.
 /// One batch runs at a time (concurrent callers serialize); the calling
 /// thread participates in the batch, so a pool of W workers applies W+1
-/// threads.  Re-entrant calls from inside a batch degrade to serial inline
-/// execution instead of deadlocking, which makes nested parallel loops
-/// (robustness surface -> yield ensemble) safe by construction.
+/// threads.  A batch started from inside a region throws std::logic_error.
 class ThreadPool {
  public:
   /// Spawns `workers` threads (0 is valid: every batch runs on the caller).
@@ -56,15 +51,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t workers() const { return num_workers_; }
-
   /// Runs fn(i) for every i in [0, n); returns when all calls completed.
   /// If fn throws, the first exception is rethrown on the caller and the
   /// remaining indices are abandoned (matching the serial path; items
   /// already in flight on other threads still finish).  `max_helpers`
   /// bounds how many pool workers may join this batch (the caller always
   /// participates on top), so a narrower width can reuse the persistent
-  /// pool instead of paying for a dedicated one.
+  /// pool instead of paying for a dedicated one.  Throws std::logic_error
+  /// when called from inside a region.
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn,
                       std::size_t max_helpers = static_cast<std::size_t>(-1));
 
@@ -86,7 +80,8 @@ class ThreadPool {
 /// n_threads <= 1 runs serially inline; every wider width runs on
 /// global_pool(), with the worker-join cap honoring an explicitly narrower
 /// request (so concurrent parallel_for calls serialize on the shared pool
-/// regardless of width).
+/// regardless of width).  Throws std::logic_error when called from inside
+/// a region.
 void parallel_for(std::size_t n, std::size_t n_threads,
                   const std::function<void(std::size_t)>& fn);
 
@@ -98,15 +93,6 @@ void parallel_for(std::size_t n, std::size_t n_threads,
 /// assignment is nondeterministic, so any history dependence would break
 /// the bit-identical-results-for-any-thread-count guarantee.
 [[nodiscard]] bool in_deterministic_region();
-
-/// True while the current thread is executing items of a ThreadPool batch
-/// (as a pool worker or as the participating caller).  Any parallel region
-/// started on such a thread runs inline — the composition contract the
-/// two-tier archipelago relies on (see the header comment).  Note the
-/// pool-less fallback paths (zero workers, single item, explicit width 1)
-/// do NOT set this flag: they hold no pool state, so nested regions remain
-/// free to use the pool.
-[[nodiscard]] bool in_pool_batch();
 
 /// Scores every Individual in `batch`: resizes ind.f to num_objectives(),
 /// calls problem.evaluate() and stores the constraint violation.  Returns

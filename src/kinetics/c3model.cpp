@@ -795,9 +795,7 @@ void C3Model::note_living_solution(std::span<const double> mult,
 }
 
 void C3Model::commit_warm_starts() const {
-  // A nested engine (a PMO2 island's NSGA-II) reaches its own generation
-  // barrier while still inside the island parallel region; its commit must
-  // wait for the archipelago's serial epoch barrier.
+  // Inside a region the commit waits for the caller's serial barrier.
   if (core::in_deterministic_region()) return;
   warm_pool_.commit();
 }

@@ -295,7 +295,7 @@ class C3Model {
   /// pool's snapshot.  Call only from serial sections — the engines do so at
   /// the same epoch barriers where the archive merges (moo::Problem::
   /// commit_epoch()); inside a core parallel region this is a deferred
-  /// no-op, so nested engines (PMO2 islands) cannot commit mid-epoch.
+  /// no-op, so nothing evaluated inside a batch can commit mid-batch.
   void commit_warm_starts() const;
 
   /// Cheap first-order CO2-uptake prediction for a candidate, WITHOUT a

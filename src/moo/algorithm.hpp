@@ -13,6 +13,9 @@
 //     restarted run is an independent replicate, not a replay; construct a
 //     new instance (as api::run does) to reproduce a run bit-exactly.
 //   * step() advances by one generation.
+//   * Both run rounds of propose() (variation, on the engine's own RNG) ->
+//     core::evaluate_batch -> Problem::commit_epoch -> absorb() (selection).
+//     Pmo2 drives its islands' rounds as one batch per round instead.
 //   * Exception safety (the PR-2 contract, required of every implementation):
 //     a step() that throws must leave all state observable through this
 //     interface — population(), evaluations(), and for archive-bearing
@@ -29,7 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "moo/individual.hpp"
+#include "moo/operators.hpp"
 #include "moo/problem.hpp"
 #include "moo/state.hpp"
 
@@ -47,10 +52,21 @@ class Optimizer {
   /// Builds and evaluates the initial population.  Must be called once
   /// before step(); repeated calls restart the run as an independent
   /// replicate (the RNG stream is not rewound — see the contract above).
-  virtual void initialize() = 0;
+  void initialize() { run_rounds(true); }
 
   /// Advances by one generation.  See the exception-safety contract above.
-  virtual void step() = 0;
+  void step() { run_rounds(false); }
+
+  /// Variation half of round `round` of initialize() (`initial`) or step():
+  /// the round's unevaluated candidates, in engine storage valid until the
+  /// matching absorb().  Round 0 starts a new generation.
+  virtual std::span<Individual> propose(bool initial, std::size_t round) = 0;
+
+  /// Selection half: takes the scored round into the engine's state and
+  /// counts its evaluations.  True when the generation is complete, false
+  /// when the next proposal depends on this round.  Never commits the
+  /// problem's epoch — the driver of the rounds owns that barrier.
+  virtual bool absorb(bool initial, std::size_t round) = 0;
 
   /// Current population (valid after initialize()).  Archive-bearing engines
   /// (SPEA2, PMO2) expose their result archive here.
@@ -100,6 +116,57 @@ class Optimizer {
       if (observer) observer(g, *this);
     }
   }
+
+ protected:
+  /// The rounds evaluate on `problem` at width `eval_threads`.  Without
+  /// `commit_each_round` the problem's epoch commits once, after the last
+  /// round, instead of after every round.
+  Optimizer(const Problem& problem, std::size_t eval_threads,
+            bool commit_each_round = true)
+      : problem_(problem),
+        eval_threads_(eval_threads),
+        commit_each_round_(commit_each_round) {}
+
+  /// A uniform random point of the problem's box, repaired and clamped.
+  [[nodiscard]] Individual random_individual(num::Rng& rng) const {
+    const auto lo = problem_.lower_bounds();
+    const auto hi = problem_.upper_bounds();
+    Individual ind;
+    ind.x.resize(lo.size());
+    for (std::size_t v = 0; v < lo.size(); ++v) ind.x[v] = rng.uniform(lo[v], hi[v]);
+    problem_.repair(ind.x);
+    num::clamp_inplace(ind.x, lo, hi);
+    return ind;
+  }
+
+  /// A crossover child finished by polynomial mutation, repair and clamping.
+  [[nodiscard]] Individual mutated_child(const num::Vec& x, const VariationParams& v,
+                                         num::Rng& rng) const {
+    const auto lo = problem_.lower_bounds();
+    const auto hi = problem_.upper_bounds();
+    Individual ind;
+    ind.x = x;
+    polynomial_mutation(ind.x, lo, hi, v.mutation_probability, v.mutation_eta, rng);
+    problem_.repair(ind.x);
+    num::clamp_inplace(ind.x, lo, hi);
+    return ind;
+  }
+
+  const Problem& problem_;
+
+ private:
+  void run_rounds(bool initial) {
+    bool done = false;
+    for (std::size_t round = 0; !done; ++round) {
+      core::evaluate_batch(problem_, propose(initial, round), eval_threads_);
+      if (commit_each_round_) problem_.commit_epoch();
+      done = absorb(initial, round);
+    }
+    if (!commit_each_round_) problem_.commit_epoch();
+  }
+
+  std::size_t eval_threads_;
+  bool commit_each_round_;
 };
 
 }  // namespace rmp::moo

@@ -6,21 +6,14 @@
 #include <limits>
 #include <numeric>
 
-#include "core/parallel.hpp"
 
 namespace rmp::moo {
 
 Moead::Moead(const Problem& problem, MoeadOptions options)
-    : problem_(problem), opts_(options), rng_(options.seed) {
+    : Optimizer(problem, options.eval_threads), opts_(options), rng_(options.seed) {
   assert(opts_.population_size >= 4);
   opts_.neighborhood_size =
       std::min(opts_.neighborhood_size, opts_.population_size);
-}
-
-void Moead::evaluate(Individual& ind) {
-  ind.f.assign(problem_.num_objectives(), 0.0);
-  ind.violation = problem_.evaluate(ind.x, ind.f);
-  ++evaluations_;
 }
 
 void Moead::build_weights() {
@@ -115,74 +108,62 @@ double Moead::scalar_cost(std::span<const double> f, double violation,
   return g + opts_.violation_penalty * std::max(violation, 0.0);
 }
 
-void Moead::initialize() {
-  evaluations_ = 0;
-  build_weights();
-  build_neighborhoods();
-
+std::span<Individual> Moead::propose(bool initial, std::size_t round) {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
-  const std::size_t n = problem_.num_variables();
-
-  ideal_.assign(problem_.num_objectives(), std::numeric_limits<double>::infinity());
-  pop_.clear();
-  pop_.reserve(opts_.population_size);
-  for (std::size_t i = 0; i < opts_.population_size; ++i) {
-    Individual ind;
-    ind.x.resize(n);
-    for (std::size_t v = 0; v < n; ++v) ind.x[v] = rng_.uniform(lo[v], hi[v]);
-    problem_.repair(ind.x);
-    num::clamp_inplace(ind.x, lo, hi);
-    pop_.push_back(std::move(ind));
+  offspring_.clear();
+  if (initial) {
+    build_weights();
+    build_neighborhoods();
+    for (std::size_t i = 0; i < opts_.population_size; ++i) {
+      offspring_.push_back(random_individual(rng_));
+    }
+    return offspring_;
   }
-  evaluations_ += core::evaluate_batch(problem_, pop_, opts_.eval_threads);
-  problem_.commit_epoch();
-  for (const Individual& ind : pop_) update_ideal(ind.f);
+
+  // One child for subproblem `round`.  Mating pool: neighborhood with high
+  // probability, whole population else.
+  local_mating_ = rng_.bernoulli(opts_.neighbor_mating_probability);
+  const auto& pool = neighbors_[round];
+  const std::size_t a = local_mating_ ? pool[rng_.uniform_index(pool.size())]
+                                      : rng_.uniform_index(pop_.size());
+  const std::size_t b = local_mating_ ? pool[rng_.uniform_index(pool.size())]
+                                      : rng_.uniform_index(pop_.size());
+
+  num::Vec c1, c2;
+  sbx_crossover(pop_[a].x, pop_[b].x, lo, hi, opts_.variation.crossover_probability,
+                opts_.variation.crossover_eta, rng_, c1, c2);
+  const num::Vec& child = rng_.bernoulli(0.5) ? c1 : c2;
+  offspring_.push_back(mutated_child(child, opts_.variation, rng_));
+  return offspring_;
 }
 
-void Moead::step() {
-  const auto lo = problem_.lower_bounds();
-  const auto hi = problem_.upper_bounds();
-  num::Vec c1, c2;
+bool Moead::absorb(bool initial, std::size_t round) {
+  evaluations_ = (initial ? 0 : evaluations_) + offspring_.size();
+  if (initial) {
+    pop_ = std::move(offspring_);
+    ideal_.assign(problem_.num_objectives(), std::numeric_limits<double>::infinity());
+    for (const Individual& ind : pop_) update_ideal(ind.f);
+    return true;
+  }
 
-  for (std::size_t i = 0; i < pop_.size(); ++i) {
-    // Mating pool: neighborhood with high probability, whole population else.
-    const bool local = rng_.bernoulli(opts_.neighbor_mating_probability);
-    const auto& pool = neighbors_[i];
-    const std::size_t a =
-        local ? pool[rng_.uniform_index(pool.size())] : rng_.uniform_index(pop_.size());
-    const std::size_t b =
-        local ? pool[rng_.uniform_index(pool.size())] : rng_.uniform_index(pop_.size());
-
-    sbx_crossover(pop_[a].x, pop_[b].x, lo, hi, opts_.variation.crossover_probability,
-                  opts_.variation.crossover_eta, rng_, c1, c2);
-    num::Vec& child = rng_.bernoulli(0.5) ? c1 : c2;
-    polynomial_mutation(child, lo, hi, opts_.variation.mutation_probability,
-                        opts_.variation.mutation_eta, rng_);
-    problem_.repair(child);
-    num::clamp_inplace(child, lo, hi);
-
-    Individual ind;
-    ind.x = child;
-    evaluate(ind);
-    update_ideal(ind.f);
-
-    // Replace up to max_replacements neighbors the child improves.
-    std::vector<std::size_t> candidates =
-        local ? pool : rng_.permutation(pop_.size());
-    rng_.shuffle(candidates);
-    std::size_t replaced = 0;
-    for (std::size_t j : candidates) {
-      if (replaced >= opts_.max_replacements) break;
-      const double g_new = scalar_cost(ind.f, ind.violation, j);
-      const double g_old = scalar_cost(pop_[j].f, pop_[j].violation, j);
-      if (g_new < g_old) {
-        pop_[j] = ind;
-        ++replaced;
-      }
+  const Individual& ind = offspring_.front();
+  update_ideal(ind.f);
+  // Replace up to max_replacements neighbors the child improves.
+  std::vector<std::size_t> candidates =
+      local_mating_ ? neighbors_[round] : rng_.permutation(pop_.size());
+  rng_.shuffle(candidates);
+  std::size_t replaced = 0;
+  for (std::size_t j : candidates) {
+    if (replaced >= opts_.max_replacements) break;
+    const double g_new = scalar_cost(ind.f, ind.violation, j);
+    const double g_old = scalar_cost(pop_[j].f, pop_[j].violation, j);
+    if (g_new < g_old) {
+      pop_[j] = ind;
+      ++replaced;
     }
   }
-  problem_.commit_epoch();
+  return round + 1 == pop_.size();
 }
 
 void Moead::inject(std::span<const Individual> immigrants) {

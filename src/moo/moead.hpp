@@ -22,12 +22,10 @@ struct MoeadOptions {
   VariationParams variation;
   std::uint64_t seed = 1;
   double violation_penalty = 1e6;  ///< added to the scalarized cost
-  /// Threads used to evaluate the initial population batch (0 = hardware
-  /// concurrency, 1 = serial).  step() stays sequential by construction:
-  /// each child's bounded replacement feeds the next child's mating pool.
-  /// When the engine runs as a Pmo2 island under island_threads > 1, the
-  /// initial batch runs inline on the island's thread — the archipelago
-  /// tier owns the physical parallelism.
+  /// Width of the initial population's batch when the engine runs
+  /// standalone (0 = hardware concurrency, 1 = serial); step() scores one
+  /// child per round.  Unused on a Pmo2 island: the archipelago batches
+  /// every island at once.
   std::size_t eval_threads = 0;
 };
 
@@ -35,8 +33,10 @@ class Moead final : public Optimizer {
  public:
   Moead(const Problem& problem, MoeadOptions options);
 
-  void initialize() override;
-  void step() override;
+  /// Step round r proposes one child for subproblem r, then replaces the
+  /// neighbors it improves: population_size rounds per generation.
+  std::span<Individual> propose(bool initial, std::size_t round) override;
+  bool absorb(bool initial, std::size_t round) override;
   [[nodiscard]] std::span<const Individual> population() const override {
     return pop_;
   }
@@ -59,15 +59,15 @@ class Moead final : public Optimizer {
                                    std::size_t subproblem) const;
 
  private:
-  void evaluate(Individual& ind);
   void build_weights();
   void build_neighborhoods();
   void update_ideal(std::span<const double> f);
 
-  const Problem& problem_;
   MoeadOptions opts_;
   num::Rng rng_;
   std::vector<Individual> pop_;
+  std::vector<Individual> offspring_;  ///< the proposed round, scored in place
+  bool local_mating_ = false;  ///< the proposed child mated in its neighborhood
   std::vector<num::Vec> weights_;
   std::vector<std::vector<std::size_t>> neighbors_;
   num::Vec ideal_;

@@ -4,13 +4,12 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/parallel.hpp"
 #include "moo/dominance.hpp"
 
 namespace rmp::moo {
 
 Nsga2::Nsga2(const Problem& problem, Nsga2Options options)
-    : problem_(problem), opts_(options), rng_(options.seed) {
+    : Optimizer(problem, options.eval_threads), opts_(options), rng_(options.seed) {
   // The mating loop pairs parents, so the population must be even.  Odd
   // sizes used to be bumped up silently, which made every downstream count
   // (evaluations, fronts, budget math) off by one with no trace — reject
@@ -22,53 +21,30 @@ Nsga2::Nsga2(const Problem& problem, Nsga2Options options)
   }
 }
 
-void Nsga2::initialize() {
-  pop_.clear();
-  pop_.reserve(opts_.population_size);
-  evaluations_ = 0;
-
+std::span<Individual> Nsga2::propose(bool initial, std::size_t /*round*/) {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
-  const std::size_t n = problem_.num_variables();
-
-  // Problem-suggested seeds (e.g. the natural leaf partition) first.
-  const auto max_seeded = static_cast<std::size_t>(
-      opts_.seeded_fraction * static_cast<double>(opts_.population_size));
-  if (max_seeded > 0) {
-    std::vector<num::Vec> seeds(max_seeded);
-    const std::size_t got = problem_.suggest_initial(seeds, rng_);
-    for (std::size_t s = 0; s < got; ++s) {
-      Individual ind;
-      ind.x = std::move(seeds[s]);
-      ind.x.resize(n);
-      num::clamp_inplace(ind.x, lo, hi);
-      pop_.push_back(std::move(ind));
+  offspring_.clear();
+  if (initial) {
+    // Problem-suggested seeds (e.g. the natural leaf partition) first.
+    const auto max_seeded = static_cast<std::size_t>(
+        opts_.seeded_fraction * static_cast<double>(opts_.population_size));
+    if (max_seeded > 0) {
+      std::vector<num::Vec> seeds(max_seeded);
+      const std::size_t got = problem_.suggest_initial(seeds, rng_);
+      for (std::size_t s = 0; s < got; ++s) {
+        Individual ind;
+        ind.x = std::move(seeds[s]);
+        ind.x.resize(problem_.num_variables());
+        num::clamp_inplace(ind.x, lo, hi);
+        offspring_.push_back(std::move(ind));
+      }
     }
+    while (offspring_.size() < opts_.population_size) {
+      offspring_.push_back(random_individual(rng_));
+    }
+    return offspring_;
   }
-
-  while (pop_.size() < opts_.population_size) {
-    Individual ind;
-    ind.x.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ind.x[i] = rng_.uniform(lo[i], hi[i]);
-    problem_.repair(ind.x);
-    num::clamp_inplace(ind.x, lo, hi);
-    pop_.push_back(std::move(ind));
-  }
-
-  evaluations_ += core::evaluate_batch(problem_, pop_, opts_.eval_threads);
-  problem_.commit_epoch();
-
-  const auto fronts = fast_nondominated_sort(pop_);
-  for (const auto& front : fronts) assign_crowding_distance(pop_, front);
-}
-
-void Nsga2::step() {
-  const auto lo = problem_.lower_bounds();
-  const auto hi = problem_.upper_bounds();
-
-  std::vector<Individual> merged;
-  merged.reserve(2 * opts_.population_size);
-  merged = pop_;
 
   num::Vec c1, c2;
   for (std::size_t pair = 0; pair < opts_.population_size / 2; ++pair) {
@@ -76,24 +52,27 @@ void Nsga2::step() {
     const Individual& p2 = pop_[binary_tournament(pop_, rng_)];
     sbx_crossover(p1.x, p2.x, lo, hi, opts_.variation.crossover_probability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
-    for (num::Vec* child : {&c1, &c2}) {
-      polynomial_mutation(*child, lo, hi, opts_.variation.mutation_probability,
-                          opts_.variation.mutation_eta, rng_);
-      problem_.repair(*child);
-      num::clamp_inplace(*child, lo, hi);
-      Individual ind;
-      ind.x = *child;
-      merged.push_back(std::move(ind));
-    }
+    offspring_.push_back(mutated_child(c1, opts_.variation, rng_));
+    offspring_.push_back(mutated_child(c2, opts_.variation, rng_));
   }
+  return offspring_;
+}
 
-  // Parents carry their scores; only the freshly generated tail needs work.
-  evaluations_ += core::evaluate_batch(
-      problem_, std::span<Individual>(merged).subspan(opts_.population_size),
-      opts_.eval_threads);
-  problem_.commit_epoch();
-
+bool Nsga2::absorb(bool initial, std::size_t /*round*/) {
+  evaluations_ = (initial ? 0 : evaluations_) + offspring_.size();
+  if (initial) {
+    pop_ = std::move(offspring_);
+    const auto fronts = fast_nondominated_sort(pop_);
+    for (const auto& front : fronts) assign_crowding_distance(pop_, front);
+    return true;
+  }
+  // Parents carry their scores; the offspring follow them.
+  std::vector<Individual> merged;
+  merged.reserve(2 * opts_.population_size);
+  merged = pop_;
+  for (Individual& ind : offspring_) merged.push_back(std::move(ind));
   select_survivors(merged);
+  return true;
 }
 
 void Nsga2::select_survivors(std::vector<Individual>& merged) {

@@ -19,11 +19,9 @@ struct Nsga2Options {
   std::uint64_t seed = 1;
   /// Fraction of the initial population taken from Problem::suggest_initial.
   double seeded_fraction = 0.1;
-  /// Threads used to evaluate each generation's offspring batch
-  /// (0 = hardware concurrency, 1 = serial).  Results are identical for any
-  /// value; see core/parallel.hpp.  When the engine runs as a Pmo2 island
-  /// under island_threads > 1, the batch runs inline on the island's thread
-  /// — the archipelago tier owns the physical parallelism.
+  /// Width of each generation's batch when the engine runs standalone (0 =
+  /// hardware concurrency, 1 = serial; results are identical for any value).
+  /// Unused on a Pmo2 island: the archipelago batches every island at once.
   std::size_t eval_threads = 0;
 };
 
@@ -31,8 +29,9 @@ class Nsga2 final : public Optimizer {
  public:
   Nsga2(const Problem& problem, Nsga2Options options);
 
-  void initialize() override;
-  void step() override;
+  /// One round per generation: offspring, then survivor selection.
+  std::span<Individual> propose(bool initial, std::size_t round) override;
+  bool absorb(bool initial, std::size_t round) override;
   [[nodiscard]] std::span<const Individual> population() const override {
     return pop_;
   }
@@ -47,17 +46,15 @@ class Nsga2 final : public Optimizer {
   void save_state(core::Json& out) const override;
   void load_state(const core::Json& doc) override;
 
-  [[nodiscard]] const Nsga2Options& options() const { return opts_; }
-
  private:
   /// Environmental selection: sorts `merged` and keeps the best
   /// population_size individuals into pop_.
   void select_survivors(std::vector<Individual>& merged);
 
-  const Problem& problem_;
   Nsga2Options opts_;
   num::Rng rng_;
   std::vector<Individual> pop_;
+  std::vector<Individual> offspring_;  ///< the proposed round, scored in place
   std::size_t evaluations_ = 0;
 };
 

@@ -1,8 +1,9 @@
 #include "moo/pmo2.hpp"
 
 #include <cassert>
+#include <iterator>
+#include <numeric>
 
-#include "core/parallel.hpp"
 #include "moo/dominance.hpp"
 #include "moo/nsga2.hpp"
 
@@ -30,14 +31,11 @@ std::uint64_t island_stream_seed(std::uint64_t seed, std::size_t island) {
 }
 }  // namespace
 
-Pmo2::AlgorithmFactory Pmo2::default_nsga2_factory(std::size_t population_per_island,
-                                                   std::size_t eval_threads) {
-  return [population_per_island, eval_threads](const Problem& problem,
-                                               std::uint64_t seed,
-                                               std::size_t island_index) {
+Pmo2::AlgorithmFactory Pmo2::default_nsga2_factory(std::size_t population_per_island) {
+  return [population_per_island](const Problem& problem, std::uint64_t seed,
+                                 std::size_t island_index) {
     Nsga2Options o;
     o.population_size = population_per_island;
-    o.eval_threads = eval_threads;
     o.seed = seed;
     // "Different settings of the same optimization algorithm": odd islands
     // explore more aggressively (coarser SBX / stronger mutation), even
@@ -51,7 +49,7 @@ Pmo2::AlgorithmFactory Pmo2::default_nsga2_factory(std::size_t population_per_is
 }
 
 Pmo2::Pmo2(const Problem& problem, Pmo2Options options, AlgorithmFactory factory)
-    : problem_(problem),
+    : Optimizer(problem, options.island_threads, /*commit_each_round=*/false),
       opts_(options),
       rng_(options.seed ^ kMigrationStreamTag),
       archive_(options.archive_capacity, options.archive_merge) {
@@ -63,53 +61,57 @@ Pmo2::Pmo2(const Problem& problem, Pmo2Options options, AlgorithmFactory factory
   }
 }
 
-void Pmo2::initialize() {
-  generation_ = 0;
-  migrations_ = 0;
-  archive_.clear();
-  // Evolve tier: build and evaluate every island's initial population
-  // concurrently, one task per island (each on its private RNG stream).
-  core::parallel_for(islands_.size(), opts_.island_threads,
-                     [&](std::size_t i) { islands_[i]->initialize(); });
-  // Commit tier: archive merge in fixed island-index order — identical to
-  // the serial schedule for any island_threads — then the problem's epoch
-  // commit (e.g. the kinetic warm-start pool folds this epoch's steady
-  // states into the snapshot the next epoch's evaluations read; the
-  // islands' own in-region commit_epoch calls were deferred no-ops).
-  for (auto& island : islands_) archive_.offer_all(island->population());
-  problem_.commit_epoch();
+std::span<Individual> Pmo2::propose(bool initial, std::size_t round) {
+  if (round == 0) {
+    if (initial) {
+      generation_ = 0;
+      migrations_ = 0;
+      archive_.clear();
+    }
+    active_.resize(islands_.size());
+    std::iota(active_.begin(), active_.end(), std::size_t{0});
+  }
+  batch_.clear();
+  parts_.clear();
+  for (const std::size_t i : active_) {
+    const std::span<Individual> part = islands_[i]->propose(initial, round);
+    parts_.push_back(part);
+    std::move(part.begin(), part.end(), std::back_inserter(batch_));
+  }
+  return batch_;
 }
 
-void Pmo2::step() {
-  // Evolve tier: one task per island on the shared pool.  Island tasks touch
-  // no shared mutable state — each island owns its population and RNG
-  // stream, and Problem::evaluate is thread-safe by contract.  An island's
-  // own evaluate_batch calls run inline on the island's thread (re-entrancy
-  // guard in core/parallel), so total width stays at island_threads.
-  core::parallel_for(islands_.size(), opts_.island_threads,
-                     [&](std::size_t i) { islands_[i]->step(); });
+bool Pmo2::absorb(bool initial, std::size_t round) {
+  // Hand every island its scored proposals back; islands that need another
+  // round (MOEA/D: one child per round) stay active.
+  std::size_t next = 0;
+  for (const std::span<Individual> part : parts_) {
+    for (Individual& ind : part) ind = std::move(batch_[next++]);
+  }
+  std::vector<std::size_t> unfinished;
+  for (const std::size_t i : active_) {
+    if (!islands_[i]->absorb(initial, round)) unfinished.push_back(i);
+  }
+  active_ = std::move(unfinished);
+  if (!active_.empty()) return false;
 
-  // Commit tier (epoch barrier, serial): nothing below runs unless every
-  // island task returned cleanly, so a throwing island leaves the archive,
-  // generation counter and migration bookkeeping exactly as they were.
-  // problem_.commit_epoch() is the same barrier seen from the evaluation
-  // side — the kinetic warm-start pool snapshots here, which is what keeps
-  // the archive bit-identical across island_threads (every island of this
-  // epoch read the PREVIOUS snapshot).
+  // Epoch barrier (serial): nothing below runs unless every round returned
+  // cleanly, so a throwing island leaves the archive, generation counter
+  // and migration bookkeeping exactly as they were.  The driver commits the
+  // problem's epoch after this, so every round read the previous snapshot.
   for (auto& island : islands_) archive_.offer_all(island->population());
-  problem_.commit_epoch();
+  if (initial) return true;
   ++generation_;
   if (opts_.migration_interval > 0 && generation_ % opts_.migration_interval == 0) {
     migrate();
   }
+  return true;
 }
 
 void Pmo2::run(const Observer& observer) {
-  initialize();
-  while (generation_ < opts_.generations) {
-    step();
-    if (observer) observer(generation_, *this);
-  }
+  Optimizer::run(opts_.generations, [&](std::size_t gen, const Optimizer&) {
+    if (observer) observer(gen, *this);
+  });
 }
 
 void Pmo2::migrate() {

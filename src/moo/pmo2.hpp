@@ -11,14 +11,14 @@
 //
 // Concurrency and determinism contract
 // ------------------------------------
-// step() evolves all islands concurrently on the shared core::parallel pool,
-// one task per island (`Pmo2Options::island_threads` picks the width).  Each
-// island owns a private RNG stream derived from (seed, island_index) — the
-// island_index-th splitmix64 output rooted at the run seed — so no task
-// reads another task's random state; Problem::evaluate is thread-safe
-// by contract; and an island task's own evaluate_batch calls run inline on
-// the island's thread (core/parallel.hpp re-entrancy), keeping the total
-// width bounded by island_threads.
+// A generation runs in evaluation rounds (moo/algorithm.hpp).  In each round
+// every island still in the generation proposes, serially and in index
+// order, on its private RNG stream — the island_index-th splitmix64 output
+// rooted at the run seed; the archipelago scores all proposals as ONE
+// core::evaluate_batch of width `Pmo2Options::island_threads`; the islands
+// absorb in index order.  NSGA-II and SPEA2 take one round, MOEA/D one per
+// child.  Evaluation never touches an RNG, so the width cannot change an
+// answer.
 //
 // Every generation ends at an epoch barrier where shared state is committed
 // serially in a fixed order:
@@ -29,18 +29,20 @@
 //      consumed in exactly that order, migrants are selected from the epoch
 //      snapshot of every source population (an edge never re-exports
 //      candidates that arrived earlier in the same epoch), then injected in
-//      the same canonical order.
+//      the same canonical order;
+//   3. the problem's epoch commit (the kinetic warm-start pool), once, after
+//      the last round, by the outermost archipelago.
 // The archive (and the whole run) is therefore bit-identical for any
 // island_threads value; parallelism trades wall-clock only.  Enforced by
 // tests/moo/pmo2_test.cpp and by bench/pmo2_scaling (BENCH_pmo2.json).
 //
 // Exception safety: step() offers the strong guarantee on all committed
-// state.  Islands evolve into their own (staged) populations first; the
-// archive, generation counter and migration bookkeeping are only touched
-// after every island task returned.  If an island throws, the exception
-// propagates with the committed state unchanged — an Observer can never see
-// a partially-updated epoch.  Island-internal populations may still have
-// advanced; call initialize() to restart the run after a failure.
+// state.  The archive, generation counter and migration bookkeeping are only
+// touched after every island's last round.  If an island or an evaluation
+// throws, the exception propagates with the committed state unchanged — an
+// Observer can never see a partially-updated epoch.  Island-internal
+// populations may still have advanced; call initialize() to restart the run
+// after a failure.
 #pragma once
 
 #include <functional>
@@ -67,10 +69,9 @@ struct Pmo2Options {
   /// so differential tests and benches can pit them against each other.
   ArchiveMerge archive_merge = ArchiveMerge::kBatch;
   std::uint64_t seed = 7;
-  /// Threads evolving islands concurrently, one task per island (0 = one
-  /// thread per hardware context, 1 = serial).  The archive is bit-identical
-  /// for any value — see the determinism contract above; the thread-count
-  /// tuning table lives in docs/ARCHITECTURE.md.
+  /// Width of each round's batch, which holds every island's proposals
+  /// (0 = one thread per hardware context, 1 = serial).  The archive is
+  /// bit-identical for any value — see the determinism contract above.
   std::size_t island_threads = 0;
 };
 
@@ -98,11 +99,8 @@ class Pmo2 final : public Optimizer {
   using Observer = std::function<void(std::size_t gen, const Pmo2& state)>;
 
   /// Default factory: NSGA-II with 100 individuals per island.
-  /// `eval_threads` is forwarded to every engine (0 = hardware concurrency);
-  /// pass 1 to make an island_threads = 1 run genuinely serial — when
-  /// islands evolve concurrently the engines' batches run inline anyway.
   [[nodiscard]] static AlgorithmFactory default_nsga2_factory(
-      std::size_t population_per_island = 100, std::size_t eval_threads = 0);
+      std::size_t population_per_island = 100);
 
   Pmo2(const Problem& problem, Pmo2Options options,
        AlgorithmFactory factory = nullptr);
@@ -113,10 +111,10 @@ class Pmo2 final : public Optimizer {
   void run(const Observer& observer = nullptr);
   using Optimizer::run;
 
-  /// Step-wise API (used by the convergence ablation): one generation on
-  /// every island, then migration/archiving bookkeeping.
-  void initialize() override;
-  void step() override;
+  /// One round over every island still in the generation, in island-index
+  /// order; absorb() ends the last round with the epoch barrier.
+  std::span<Individual> propose(bool initial, std::size_t round) override;
+  bool absorb(bool initial, std::size_t round) override;
   [[nodiscard]] std::size_t generation() const { return generation_; }
 
   /// The global archive view — what the paper reports as the algorithm's
@@ -156,10 +154,12 @@ class Pmo2 final : public Optimizer {
  private:
   void migrate();
 
-  const Problem& problem_;
   Pmo2Options opts_;
   num::Rng rng_;  ///< migration stream (edge draws, migrant picks) — barrier-only
   std::vector<std::unique_ptr<Optimizer>> islands_;
+  std::vector<std::size_t> active_;  ///< islands still in this generation
+  std::vector<Individual> batch_;    ///< this round's proposals, all islands
+  std::vector<std::span<Individual>> parts_;  ///< where each part came from
   Archive archive_;
   std::size_t generation_ = 0;
   std::size_t migrations_ = 0;

@@ -60,17 +60,16 @@ class Problem {
     return 0;
   }
 
-  /// Epoch barrier hook: the engines call this from their serial sections
-  /// after every committed generation (the same barriers where PMO2 merges
-  /// its archive), so a problem holding evaluation accelerators — the
-  /// kinetic warm-start pool — can fold a batch's results into the snapshot
-  /// the NEXT batch reads.  Contract for implementations: the call must not
-  /// change any observable result of evaluate() beyond a root's low-order
-  /// bits, must be cheap, and must be safe (typically a deferred no-op)
-  /// when invoked from inside a core parallel region — nested engines, e.g.
-  /// a PMO2 island's NSGA-II, reach their own generation barrier while
-  /// still inside the island region, and only the archipelago's serial
-  /// epoch barrier may take effect there.  Default: nothing.
+  /// Epoch barrier hook: the engines' evaluation rounds call this from
+  /// their serial sections (after every round standalone, once per epoch in
+  /// PMO2, where the archive merges), so a problem holding evaluation
+  /// accelerators — the kinetic warm-start pool — can fold a batch's
+  /// results into the snapshot the NEXT batch reads.  Contract for
+  /// implementations: the call must not change any observable result of
+  /// evaluate() beyond a root's low-order bits, must be cheap, and must be
+  /// safe (typically a deferred no-op) when invoked from inside a core
+  /// parallel region, where only a later serial barrier may take effect.
+  /// Default: nothing.
   virtual void commit_epoch() const {}
 
   /// Evaluation accounting for instrumented problems.  Default: all zero

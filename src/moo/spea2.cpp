@@ -4,13 +4,12 @@
 #include <cmath>
 #include <limits>
 
-#include "core/parallel.hpp"
 #include "moo/dominance.hpp"
 
 namespace rmp::moo {
 
 Spea2::Spea2(const Problem& problem, Spea2Options options)
-    : problem_(problem), opts_(options), rng_(options.seed) {
+    : Optimizer(problem, options.eval_threads), opts_(options), rng_(options.seed) {
   if (opts_.population_size % 2 != 0) ++opts_.population_size;
 }
 
@@ -104,59 +103,43 @@ void Spea2::environmental_selection(std::vector<Individual>& all) {
   for (const auto& front : fronts) assign_crowding_distance(archive_, front);
 }
 
-void Spea2::initialize() {
-  evaluations_ = 0;
-  pop_.clear();
-  archive_.clear();
+std::span<Individual> Spea2::propose(bool initial, std::size_t /*round*/) {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
-  const std::size_t n = problem_.num_variables();
-
-  for (std::size_t i = 0; i < opts_.population_size; ++i) {
-    Individual ind;
-    ind.x.resize(n);
-    for (std::size_t v = 0; v < n; ++v) ind.x[v] = rng_.uniform(lo[v], hi[v]);
-    problem_.repair(ind.x);
-    num::clamp_inplace(ind.x, lo, hi);
-    pop_.push_back(std::move(ind));
+  offspring_.clear();
+  if (initial) {
+    for (std::size_t i = 0; i < opts_.population_size; ++i) {
+      offspring_.push_back(random_individual(rng_));
+    }
+    return offspring_;
   }
-  evaluations_ += core::evaluate_batch(problem_, pop_, opts_.eval_threads);
-  problem_.commit_epoch();
-  std::vector<Individual> all = pop_;
-  environmental_selection(all);
-}
-
-void Spea2::step() {
-  const auto lo = problem_.lower_bounds();
-  const auto hi = problem_.upper_bounds();
 
   // Mating selection from the archive; offspring form the next population.
-  std::vector<Individual> offspring;
-  offspring.reserve(opts_.population_size);
   num::Vec c1, c2;
-  while (offspring.size() < opts_.population_size) {
+  while (offspring_.size() < opts_.population_size) {
     const Individual& p1 = archive_[binary_tournament(archive_, rng_)];
     const Individual& p2 = archive_[binary_tournament(archive_, rng_)];
     sbx_crossover(p1.x, p2.x, lo, hi, opts_.variation.crossover_probability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
-    for (num::Vec* child : {&c1, &c2}) {
-      if (offspring.size() == opts_.population_size) break;
-      polynomial_mutation(*child, lo, hi, opts_.variation.mutation_probability,
-                          opts_.variation.mutation_eta, rng_);
-      problem_.repair(*child);
-      num::clamp_inplace(*child, lo, hi);
-      Individual ind;
-      ind.x = *child;
-      offspring.push_back(std::move(ind));
+    for (const num::Vec* child : {&c1, &c2}) {
+      if (offspring_.size() == opts_.population_size) break;
+      offspring_.push_back(mutated_child(*child, opts_.variation, rng_));
     }
   }
-  evaluations_ += core::evaluate_batch(problem_, offspring, opts_.eval_threads);
-  problem_.commit_epoch();
-  pop_ = std::move(offspring);
+  return offspring_;
+}
 
+bool Spea2::absorb(bool initial, std::size_t /*round*/) {
+  evaluations_ = (initial ? 0 : evaluations_) + offspring_.size();
+  pop_ = std::move(offspring_);
   std::vector<Individual> all = pop_;
-  all.insert(all.end(), archive_.begin(), archive_.end());
+  if (initial) {
+    archive_.clear();
+  } else {
+    all.insert(all.end(), archive_.begin(), archive_.end());
+  }
   environmental_selection(all);
+  return true;
 }
 
 void Spea2::inject(std::span<const Individual> immigrants) {

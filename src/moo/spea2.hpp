@@ -18,11 +18,9 @@ struct Spea2Options {
   VariationParams variation;
   std::uint64_t seed = 1;
   double violation_penalty = 1e6;  ///< added to fitness per unit violation
-  /// Threads used to evaluate each generation's offspring batch
-  /// (0 = hardware concurrency, 1 = serial).  Results are identical for any
-  /// value; see core/parallel.hpp.  When the engine runs as a Pmo2 island
-  /// under island_threads > 1, the batch runs inline on the island's thread
-  /// — the archipelago tier owns the physical parallelism.
+  /// Width of each generation's batch when the engine runs standalone (0 =
+  /// hardware concurrency, 1 = serial; results are identical for any value).
+  /// Unused on a Pmo2 island: the archipelago batches every island at once.
   std::size_t eval_threads = 0;
 };
 
@@ -30,8 +28,9 @@ class Spea2 final : public Optimizer {
  public:
   Spea2(const Problem& problem, Spea2Options options);
 
-  void initialize() override;
-  void step() override;
+  /// One round per generation: offspring, then environmental selection.
+  std::span<Individual> propose(bool initial, std::size_t round) override;
+  bool absorb(bool initial, std::size_t round) override;
   /// The environmental archive (SPEA2's result set).
   [[nodiscard]] std::span<const Individual> population() const override {
     return archive_;
@@ -51,10 +50,10 @@ class Spea2 final : public Optimizer {
   [[nodiscard]] std::vector<double> fitness(std::span<const Individual> all) const;
   void environmental_selection(std::vector<Individual>& all);
 
-  const Problem& problem_;
   Spea2Options opts_;
   num::Rng rng_;
   std::vector<Individual> pop_;
+  std::vector<Individual> offspring_;  ///< the proposed round, scored in place
   std::vector<Individual> archive_;
   std::size_t evaluations_ = 0;
 };

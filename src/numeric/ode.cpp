@@ -24,14 +24,15 @@ double error_norm(std::span<const double> err, std::span<const double> y0,
 }
 
 /// Forward-difference Jacobian of f at (t, y) into `j`, counting the n + 1
-/// RHS evaluations (base + one per column) in `rhs_evals`.  Scratch from ws.
+/// RHS evaluations (base + one per column) in `rhs_evals`.  The difference
+/// base f(t, y) is left in `base` for the caller.  Scratch from ws.
 void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
-                 Workspace& ws, Matrix& j, std::size_t& rhs_evals) {
+                 Workspace& ws, Matrix& j, Vec& base, std::size_t& rhs_evals) {
   const std::size_t n = y.size();
-  ScratchVec base(ws, n), pert(ws, n), yp(ws, n);
+  ScratchVec pert(ws, n), yp(ws, n);
   yp.get().assign(y.begin(), y.end());
-  base.get().assign(n, 0.0);
-  f(t, y, base.get());
+  base.assign(n, 0.0);
+  f(t, y, base);
   ++rhs_evals;
   for (std::size_t c = 0; c < n; ++c) {
     const double h = eps * std::max(1.0, std::fabs(y[c]));
@@ -82,10 +83,11 @@ void ros2_step(OdeRhs f, double t, const Vec& y, const Vec& f0, double h,
 
 /// Builds the augmented-system Jacobian (df/dy block; appended time state
 /// contributes a zero row/column under an analytic Jacobian, the FD path
-/// picks up df/dt for forced problems) into `j`.
+/// picks up df/dt for forced problems) into `j`, and f(t, y) into `f0`
+/// (the FD path's difference base, so it is evaluated once).
 void rosenbrock_jacobian(OdeRhs f, OdeJacobian user_jac, double t,
                          const Vec& y_aug, std::size_t n_user, Workspace& ws,
-                         Matrix& j, OdeResult& res) {
+                         Matrix& j, Vec& f0, OdeResult& res) {
   if (user_jac) {
     ScratchMat ju(ws, n_user, n_user);
     user_jac(y_aug[n_user], std::span<const double>(y_aug).first(n_user),
@@ -94,8 +96,11 @@ void rosenbrock_jacobian(OdeRhs f, OdeJacobian user_jac, double t,
     for (std::size_t r = 0; r < n_user; ++r) {
       for (std::size_t c = 0; c < n_user; ++c) j(r, c) = ju(r, c);
     }
+    f0.assign(y_aug.size(), 0.0);
+    f(t, y_aug, f0);
+    ++res.rhs_evals;
   } else {
-    fd_jacobian(f, t, y_aug, 1e-7, ws, j, res.rhs_evals);
+    fd_jacobian(f, t, y_aug, 1e-7, ws, j, f0, res.rhs_evals);
   }
   ++res.jacobian_evals;
 }
@@ -146,10 +151,7 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
 
     if (fresh) {
       rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
-                          res);
-      f0.get().assign(n, 0.0);
-      f(res.t, res.y, f0.get());
-      ++res.rhs_evals;
+                          f0.get(), res);
       fresh = false;
     }
 

@@ -20,16 +20,15 @@ struct SurfacePoint {
 struct SurfaceConfig {
   YieldConfig yield;
   std::size_t samples = 50;  ///< equally-spaced picks along the front
-  /// Threads used to screen the sampled Pareto points (0 = hardware
-  /// concurrency, 1 = serial outer loop).  When the outer loop runs on the
-  /// pool, each point's yield ensemble runs inline so the total width stays
-  /// bounded; with threads = 1 the inner ensembles are still free to
-  /// parallelize per `yield.threads`.
+  /// Width of the one batch that scores every sampled point's nominal and
+  /// trials (0 = hardware concurrency, 1 = serial); `yield.threads` is not
+  /// used here.  Results are identical for any value.
   std::size_t threads = 0;
 };
 
 /// Evaluates the robustness surface over `samples` equally-spaced Pareto
-/// points (plus both extremes, which equal spacing always includes).
+/// points (plus both extremes, which equal spacing always includes) as one
+/// batch, followed by one epoch commit.
 [[nodiscard]] std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
                                                            const PropertyFn& property,
                                                            const SurfaceConfig& cfg);

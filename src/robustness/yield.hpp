@@ -30,18 +30,17 @@ struct YieldConfig {
   PerturbationConfig perturbation;
   double epsilon_fraction = 0.05;  ///< eps as a fraction of the nominal value
   std::uint64_t seed = 99;
-  /// Threads used to score the Monte-Carlo ensemble (0 = hardware
-  /// concurrency, 1 = serial).  The ensemble is drawn up front from the
+  /// Width of the batch that scores the Monte-Carlo trials (0 = hardware
+  /// concurrency, 1 = serial).  The ensembles are drawn up front from the
   /// seeded RNG and reduced in index order, so gamma is identical for any
   /// thread count.
   std::size_t threads = 0;
   /// Epoch barrier hook, invoked from the serial sections around each
-  /// ensemble's parallel scoring pass.  Wire it to the evaluated problem's
-  /// commit_epoch() (api::Session does) so the kinetic
-  /// warm-start pool can fold the nominal solve — and each finished
-  /// ensemble — into the snapshot the next batch of trials warm-starts
-  /// from.  The hook must follow the moo::Problem::commit_epoch contract
-  /// (cheap, result-neutral, deferred inside parallel regions); null = off.
+  /// scoring batch.  Wire it to the evaluated problem's commit_epoch()
+  /// (api::Session does) so the kinetic warm-start pool can fold the
+  /// nominal solve — and each finished ensemble — into the snapshot the
+  /// next batch of trials warm-starts from.  The hook must follow the
+  /// moo::Problem::commit_epoch contract (cheap, result-neutral); null = off.
   std::function<void()> epoch_commit;
   /// Precomputed nominal property f(x).  When set, ensembles reuse it
   /// instead of re-evaluating the nominal point — local_yields() sets it
@@ -62,15 +61,27 @@ struct YieldResult {
   double max_deviation = 0.0;
 };
 
-/// Global yield: all variables perturbed simultaneously.
+/// One Monte-Carlo ensemble: the point and its perturbed trials.
+struct Ensemble {
+  std::span<const double> x;
+  std::vector<num::Vec> trials;
+};
+
+/// Scores every ensemble's nominal f(x) (unless cfg.nominal_value supplies
+/// it) and trials as ONE batch of width cfg.threads, then reduces each
+/// ensemble in index order.  Commits no epoch.
+[[nodiscard]] std::vector<YieldResult> score_ensembles(std::span<const Ensemble> ensembles,
+                                                       const PropertyFn& f,
+                                                       const YieldConfig& cfg);
+
+/// Global yield: all variables perturbed simultaneously.  Commits the
+/// epoch after the nominal and after the trials.
 [[nodiscard]] YieldResult global_yield(std::span<const double> x, const PropertyFn& f,
                                        const YieldConfig& cfg);
 
-/// Local yield of one variable.
-[[nodiscard]] YieldResult local_yield(std::span<const double> x, std::size_t var,
-                                      const PropertyFn& f, const YieldConfig& cfg);
-
-/// Local yield for every variable (the per-enzyme fragility profile).
+/// Local yield for every variable (the per-enzyme fragility profile): the
+/// shared nominal, one epoch commit, then one batch over every (variable,
+/// trial) pair.  No commit follows the batch.
 [[nodiscard]] std::vector<YieldResult> local_yields(std::span<const double> x,
                                                     const PropertyFn& f,
                                                     const YieldConfig& cfg);

@@ -120,30 +120,40 @@ TEST(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ParallelTest, NestedParallelForRunsInlineWithoutDeadlock) {
-  constexpr std::size_t kOuter = 8;
-  constexpr std::size_t kInner = 16;
-  std::atomic<int> total{0};
-  // Two sequential nested regions per outer index: regression for the
-  // re-entrancy guard being *restored* (not cleared) when a nested batch
-  // ends — with a clear, the second nested call below would re-enter the
-  // pool and deadlock on any multi-core host.
-  parallel_for(kOuter, 0, [&](std::size_t) {
-    parallel_for(kInner, 0, [&](std::size_t) { total.fetch_add(1); });
-    parallel_for(kInner, 0, [&](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), static_cast<int>(2 * kOuter * kInner));
-}
-
-TEST(ParallelTest, ExplicitPoolSurvivesRepeatedNestedBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::function<void(std::size_t)> fn = [&](std::size_t) {
-    parallel_for(4, 2, [&](std::size_t) { total.fetch_add(1); });
-    parallel_for(4, 2, [&](std::size_t) { total.fetch_add(1); });
+TEST(ParallelTest, NestedRegionThrowsAndThePoolRunsTheNextBatch) {
+  // Regions do not nest: callers flatten two levels of work into one batch.
+  // A region opened inside another throws on every execution path — pooled
+  // and serial outer regions, explicit pools, evaluate_batch — and the
+  // shared pool is fully usable for the next batch afterwards.
+  const moo::Zdt1 problem(8);
+  auto inner_batch = random_batch(problem, 4, 5);
+  const auto open_nested = [&](std::size_t) {
+    parallel_for(4, 0, [](std::size_t) {});
   };
-  pool.for_each_index(16, fn);
-  EXPECT_EQ(total.load(), 16 * 8);
+  EXPECT_THROW(parallel_for(8, 4, open_nested), std::logic_error);
+  EXPECT_THROW(parallel_for(8, 1, open_nested), std::logic_error);
+  EXPECT_THROW(parallel_for(1, 4, open_nested), std::logic_error);
+  EXPECT_THROW(parallel_for(8, 4,
+                            [&](std::size_t) { evaluate_batch(problem, inner_batch, 1); }),
+               std::logic_error);
+  ThreadPool pool(2);  // real workers even on a 1-core host
+  EXPECT_THROW(pool.for_each_index(16, open_nested), std::logic_error);
+  EXPECT_THROW(
+      parallel_for(8, 4, [&](std::size_t) { pool.for_each_index(2, [](std::size_t) {}); }),
+      std::logic_error);
+  EXPECT_FALSE(in_deterministic_region());
+
+  // Both pools still run a full batch, bit-identical to the serial path.
+  auto expected = random_batch(problem, 33, 9);
+  evaluate_batch(problem, expected, 1);
+  auto pooled = random_batch(problem, 33, 9);
+  EXPECT_EQ(evaluate_batch(problem, pooled, 4), pooled.size());
+  std::vector<std::atomic<int>> hits(64);
+  pool.for_each_index(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(pooled[i].f, expected[i].f) << "i=" << i;
+  }
 }
 
 TEST(ParallelTest, DeterministicRegionFlagCoversEveryExecutionPath) {
@@ -183,37 +193,6 @@ TEST(ParallelTest, KineticSteadyStateIsSnapshotPureInsideRegions) {
   const double first = solve_in_region(0.9);
   const double second = solve_in_region(1.3);
   EXPECT_EQ(first, second);  // bit-exact: staged history must not leak in
-}
-
-TEST(ParallelTest, EvaluateBatchInsidePoolTaskRunsInlineAndMatchesSerial) {
-  // Two-tier composition (the archipelago pattern): coarse tasks on an
-  // explicit pool, each calling evaluate_batch.  The nested batch must run
-  // inline on the task's thread — no deadlock, full coverage — and produce
-  // results bit-identical to the serial path.
-  const moo::Zdt1 problem(8);
-  auto expected = random_batch(problem, 16, 5);
-  evaluate_batch(problem, expected, 1);
-
-  EXPECT_FALSE(in_pool_batch());
-  constexpr std::size_t kTasks = 4;
-  std::vector<std::vector<moo::Individual>> results(kTasks);
-  std::vector<int> saw_pool_batch(kTasks, 0);
-  ThreadPool pool(2);  // real workers even on a 1-core host
-  pool.for_each_index(kTasks, [&](std::size_t t) {
-    saw_pool_batch[t] = in_pool_batch() ? 1 : 0;
-    results[t] = random_batch(problem, 16, 5);
-    evaluate_batch(problem, results[t], 0);  // nested: must run inline
-  });
-  EXPECT_FALSE(in_pool_batch());
-
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(saw_pool_batch[t], 1) << "task " << t;
-    ASSERT_EQ(results[t].size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      for (std::size_t j = 0; j < expected[i].f.size(); ++j)
-        EXPECT_EQ(results[t][i].f[j], expected[i].f[j]);
-    }
-  }
 }
 
 TEST(ParallelTest, ExceptionsPropagateToTheCaller) {

@@ -271,23 +271,26 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
 }
 
 // Minimal instrumented island: one resident whose x encodes the island
-// index, a step() that does nothing, and an inject() that records where each
-// immigrant came from (immigrants keep the source island's x) and absorbs it
-// into the population.  Residents are mutually non-dominated across islands
-// (f = (i, -i)), so every island's front is its whole population.
+// index, a step that proposes nothing and changes nothing, and an inject()
+// that records where each immigrant came from (immigrants keep the source
+// island's x) and absorbs it into the population.  Residents are mutually
+// non-dominated across islands (f = (i, -i)), so every island's front is its
+// whole population.
 class RecordingAlgorithm final : public Optimizer {
  public:
-  RecordingAlgorithm(std::size_t index,
+  RecordingAlgorithm(const Problem& problem, std::size_t index,
                      std::vector<std::pair<std::size_t, std::size_t>>* log)
-      : index_(index), log_(log) {}
+      : Optimizer(problem, 1), index_(index), log_(log) {}
 
-  void initialize() override {
+  std::span<Individual> propose(bool, std::size_t) override { return {}; }
+  bool absorb(bool initial, std::size_t) override {
+    if (!initial) return true;
     Individual self;
     self.x = num::Vec{static_cast<double>(index_)};
     self.f = num::Vec{static_cast<double>(index_), -static_cast<double>(index_)};
     pop_.assign(1, self);
+    return true;
   }
-  void step() override {}
   [[nodiscard]] std::span<const Individual> population() const override {
     return pop_;
   }
@@ -320,8 +323,8 @@ TEST(Pmo2Test, MigrationEpochAppliesEdgesInCanonicalOrderFromSnapshot) {
   o.migration_probability = 1.0;
   o.migrants_per_edge = 1;
   Pmo2 pmo2(problem, o,
-            [&log](const Problem&, std::uint64_t, std::size_t island) {
-              return std::make_unique<RecordingAlgorithm>(island, &log);
+            [&log](const Problem& p, std::uint64_t, std::size_t island) {
+              return std::make_unique<RecordingAlgorithm>(p, island, &log);
             });
   pmo2.initialize();
   pmo2.step();
@@ -335,25 +338,31 @@ TEST(Pmo2Test, MigrationEpochAppliesEdgesInCanonicalOrderFromSnapshot) {
   EXPECT_EQ(pmo2.migrations_performed(), 4u);
 }
 
-/// Island that throws on its second step(); used to prove the strong
+/// Island that throws on its second step; used to prove the strong
 /// exception guarantee on committed state.
 class ThrowingAlgorithm final : public Optimizer {
  public:
-  explicit ThrowingAlgorithm(std::size_t index) : index_(index) {}
+  ThrowingAlgorithm(const Problem& problem, std::size_t index)
+      : Optimizer(problem, 1), index_(index) {}
 
-  void initialize() override {
-    Individual self;
-    self.x = num::Vec{static_cast<double>(index_)};
-    self.f = num::Vec{static_cast<double>(index_), -static_cast<double>(index_)};
-    pop_.assign(1, self);
-    steps_ = 0;
-  }
-  void step() override {
+  std::span<Individual> propose(bool initial, std::size_t) override {
+    if (initial) return {};
     if (index_ == 1 && ++steps_ == 2) throw std::runtime_error("island failure");
     // A successful step produces a new, strictly better point that WOULD
     // enter the archive if the epoch were (incorrectly) committed.
     pop_[0].f[0] -= 1.0;
     pop_[0].f[1] -= 1.0;
+    return {};
+  }
+  bool absorb(bool initial, std::size_t) override {
+    if (initial) {
+      Individual self;
+      self.x = num::Vec{static_cast<double>(index_)};
+      self.f = num::Vec{static_cast<double>(index_), -static_cast<double>(index_)};
+      pop_.assign(1, self);
+      steps_ = 0;
+    }
+    return true;
   }
   [[nodiscard]] std::span<const Individual> population() const override {
     return pop_;
@@ -375,8 +384,8 @@ TEST(Pmo2Test, StepLeavesCommittedStateUntouchedWhenAnIslandThrows) {
   o.migration_interval = 1;
   o.migration_probability = 1.0;
   o.island_threads = 1;  // deterministic schedule: island 0 advances first
-  Pmo2 pmo2(problem, o, [](const Problem&, std::uint64_t, std::size_t island) {
-    return std::make_unique<ThrowingAlgorithm>(island);
+  Pmo2 pmo2(problem, o, [](const Problem& p, std::uint64_t, std::size_t island) {
+    return std::make_unique<ThrowingAlgorithm>(p, island);
   });
   pmo2.initialize();
   pmo2.step();  // both islands step cleanly
