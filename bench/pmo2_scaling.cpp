@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   const SpinZdt1 problem(12, spin);
   const std::vector<std::size_t> widths = {1, 2, 8};
 
-  std::printf("== PMO2 island scaling: %zu islands x %zu pop, %zu generations, "
+  std::printf("== PMO2 batch-width scaling: %zu islands x %zu pop, %zu generations, "
               "spin %zu, best of %zu, %u hardware threads ==\n",
               islands, population, generations, spin, repeats, hardware);
 

@@ -65,7 +65,7 @@ class Optimizer {
   /// Selection half: takes the scored round into the engine's state and
   /// counts its evaluations.  True when the generation is complete, false
   /// when the next proposal depends on this round.  Never commits the
-  /// problem's epoch — the driver of the rounds owns that barrier.
+  /// problem's epoch — whoever runs the rounds owns that barrier.
   virtual bool absorb(bool initial, std::size_t round) = 0;
 
   /// Current population (valid after initialize()).  Archive-bearing engines

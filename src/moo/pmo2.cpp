@@ -97,7 +97,7 @@ bool Pmo2::absorb(bool initial, std::size_t round) {
 
   // Epoch barrier (serial): nothing below runs unless every round returned
   // cleanly, so a throwing island leaves the archive, generation counter
-  // and migration bookkeeping exactly as they were.  The driver commits the
+  // and migration bookkeeping exactly as they were.  step() commits the
   // problem's epoch after this, so every round read the previous snapshot.
   for (auto& island : islands_) archive_.offer_all(island->population());
   if (initial) return true;
