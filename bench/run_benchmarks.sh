@@ -22,7 +22,7 @@ SMOKE="${RMP_BENCH_SMOKE:-0}"
 # carries acceptance gates (determinism cross-checks, speedup floors); a
 # missing one must fail the driver up front, not let the remaining phases
 # "pass" while a gate was silently never exercised.
-REQUIRED_BENCHES=(pmo2_scaling archive_scaling kinetics_scaling eval_cache)
+REQUIRED_BENCHES=(pmo2_scaling kinetics_scaling)
 missing=0
 for b in "${REQUIRED_BENCHES[@]}"; do
   if [[ ! -x "${BUILD_DIR}/bench/${b}" ]]; then
@@ -41,65 +41,41 @@ if [[ "${SMOKE}" == "1" ]]; then
   export RMP_POPULATION="${RMP_POPULATION:-16}"
   export RMP_EVAL_SPIN="${RMP_EVAL_SPIN:-100}"
   export RMP_BENCH_REPEATS="${RMP_BENCH_REPEATS:-1}"
-  export RMP_ARCHIVE_OFFERS="${RMP_ARCHIVE_OFFERS:-6000}"
-  export RMP_ARCHIVE_CAPACITY="${RMP_ARCHIVE_CAPACITY:-400}"
-  export RMP_ARCHIVE_BATCH="${RMP_ARCHIVE_BATCH:-128}"
   export RMP_KINETICS_GENERATIONS="${RMP_KINETICS_GENERATIONS:-6}"
   export RMP_KINETICS_BATCH="${RMP_KINETICS_BATCH:-16}"
   export RMP_KINETICS_PMO2_GENERATIONS="${RMP_KINETICS_PMO2_GENERATIONS:-3}"
   export RMP_KINETICS_PMO2_POPULATION="${RMP_KINETICS_PMO2_POPULATION:-8}"
-  export RMP_EVALCACHE_GENERATIONS="${RMP_EVALCACHE_GENERATIONS:-4}"
-  export RMP_EVALCACHE_PHASE1_GENERATIONS="${RMP_EVALCACHE_PHASE1_GENERATIONS:-2}"
-  export RMP_EVALCACHE_TRIALS="${RMP_EVALCACHE_TRIALS:-60}"
-  export RMP_EVALCACHE_CENTERS="${RMP_EVALCACHE_CENTERS:-3}"
-  export RMP_EVALCACHE_MIN_REDUCTION="${RMP_EVALCACHE_MIN_REDUCTION:-0}"
 else
-  # Full scale enforces the acceptance bars: >= 5x batch-vs-naive archive
-  # merges; for the kinetic engine >= 3x RHS-work reduction per solve
-  # (measured ~21x) and a 1.5x solve-path wall floor (measured ~1.9x on the
-  # bench trajectory, 2.2-2.6x in the front-exploitation and yield-ensemble
-  # regimes — the gap to the work ratio is allocator/dispatch overhead
-  # shared by both engines).  Smoke runs only check the determinism
+  # Full scale enforces the kinetic engine's acceptance bars: >= 3x RHS-work
+  # reduction per solve (measured ~21x) and a 1.5x solve-path wall floor
+  # (measured ~1.9x on the bench trajectory, 2.2-2.6x in the
+  # front-exploitation and yield-ensemble regimes — the gap to the work
+  # ratio is allocator/dispatch overhead shared by both engines).  Smoke runs only check the determinism
   # cross-checks (CI wall clocks are too noisy for speedup gates at seconds
   # scale).
-  export RMP_ARCHIVE_MIN_SPEEDUP="${RMP_ARCHIVE_MIN_SPEEDUP:-5}"
   export RMP_KINETICS_MIN_SPEEDUP="${RMP_KINETICS_MIN_SPEEDUP:-1.5}"
   export RMP_KINETICS_MIN_RHS_REDUCTION="${RMP_KINETICS_MIN_RHS_REDUCTION:-3}"
-  # eval_cache enforces a >= 1.5x full-kinetic-solve reduction on the
-  # stress-study workload (measured 1.74x); its reduction counters are
-  # deterministic (seeded, epoch-committed), so the gate is exact, not a
-  # wall-clock measurement.  Smoke scale skips the gate (workload too small
-  # for a representative skip rate) but still enforces the fingerprint
-  # identities.
-  export RMP_EVALCACHE_MIN_REDUCTION="${RMP_EVALCACHE_MIN_REDUCTION:-1.5}"
 fi
 
 # 1. The perf-trajectory anchors.  Non-zero exit = a contract broke:
 #    pmo2_scaling checks bit-identical archives across island_threads,
-#    archive_scaling checks the batch merge engine against the naive
-#    reference (same fingerprints, and the speedup bar at full scale),
 #    kinetics_scaling checks the steady-state engine against its FD/
 #    cold-start baseline (thread-invariant fingerprints for every solver
-#    configuration, and the speedup/work bars at full scale),
-#    eval_cache checks cached-vs-uncached archive fingerprints at
-#    island_threads {1,2,8} plus the prescreen's full-solve reduction on the
-#    stress-study workload (>= 1.5x at full scale).
+#    configuration, and the speedup/work bars at full scale).
 "${BUILD_DIR}/bench/pmo2_scaling" "${OUT_DIR}/BENCH_pmo2.json"
-"${BUILD_DIR}/bench/archive_scaling" "${OUT_DIR}/BENCH_archive.json"
 "${BUILD_DIR}/bench/kinetics_scaling" "${OUT_DIR}/BENCH_kinetics.json"
-"${BUILD_DIR}/bench/eval_cache" "${OUT_DIR}/BENCH_evalcache.json"
 
 # Every artifact must exist and be non-empty — an empty file means a binary
 # died after truncating its output, which set -e alone would already have
 # caught, but this also guards against OUT_DIR redirection mistakes.
-for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+for artifact in BENCH_pmo2 BENCH_kinetics; do
   [[ -s "${OUT_DIR}/${artifact}.json" ]] \
     || { echo "error: ${OUT_DIR}/${artifact}.json missing or empty" >&2; exit 1; }
 done
 
 # Validate the artifacts when a JSON parser is on the PATH.
 if command -v python3 >/dev/null 2>&1; then
-  for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+  for artifact in BENCH_pmo2 BENCH_kinetics; do
     python3 -m json.tool "${OUT_DIR}/${artifact}.json" >/dev/null \
       && echo "${artifact}.json: valid JSON"
   done
@@ -123,11 +99,5 @@ echo
 echo "== ${OUT_DIR}/BENCH_pmo2.json =="
 cat "${OUT_DIR}/BENCH_pmo2.json"
 echo
-echo "== ${OUT_DIR}/BENCH_archive.json =="
-cat "${OUT_DIR}/BENCH_archive.json"
-echo
 echo "== ${OUT_DIR}/BENCH_kinetics.json =="
 cat "${OUT_DIR}/BENCH_kinetics.json"
-echo
-echo "== ${OUT_DIR}/BENCH_evalcache.json =="
-cat "${OUT_DIR}/BENCH_evalcache.json"

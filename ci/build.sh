@@ -44,13 +44,6 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-# Cache differential gate, surfaced on its own (it also ran inside the full
-# suite above): cached / prescreened / plain runs must produce identical
-# archive fingerprints, mined candidates and robustness verdicts at
-# island_threads {1, 2, 8}.  A regression here means the evaluation cache
-# changed results — the one thing it must never do.
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "CacheDifferential"
-
 # rmp_run smoke: the spec-driven front door must list its registries, execute
 # a ZDT1+pmo2 spec, and emit a result artifact that parses as JSON and carries
 # an archive fingerprint (the cross-machine reproducibility identity).
@@ -76,7 +69,7 @@ mkdir -p "${SPOOL}/jobs" "${SERVE_SPECS}"
 cat > "${SERVE_SPECS}/jobA.json" <<'EOF'
 {"problem": "photosynthesis?scenario=present-low&pool=4096",
  "optimizer": "pmo2?islands=2&population=8&migration_interval=2&migrants=2",
- "generations": 40, "seed": 7, "threads": 2, "cache": 4096}
+ "generations": 40, "seed": 7, "threads": 2}
 EOF
 cat > "${SERVE_SPECS}/jobB.json" <<'EOF'
 {"problem": "zdt1?n=6", "optimizer": "nsga2?population=16",
@@ -120,13 +113,12 @@ done
 echo "rmp_serve smoke: both jobs resumed and fingerprint-matched rmp_run"
 
 # Benchmark smoke: emits and prints BENCH_pmo2.json (island-scaling wall
-# times, speedups, the bit-identical-archive check), BENCH_archive.json
-# (batch-vs-naive merge engine cross-check) and BENCH_kinetics.json (the
-# steady-state engine vs its FD/cold-start baseline, with thread-invariant
-# archive fingerprints per solver configuration) under
+# times, speedups, the bit-identical-archive check) and BENCH_kinetics.json
+# (the steady-state engine vs its FD/cold-start baseline, with
+# thread-invariant archive fingerprints per solver configuration) under
 # ${BUILD_DIR}/bench-results, and logs the ablations + micro-kernels.
-# Fails the build when the archipelago determinism contract, the archive
-# merge equivalence, or the kinetic-engine determinism contract is broken.
+# Fails the build when the archipelago determinism contract or the
+# kinetic-engine determinism contract is broken.
 RMP_BENCH_SMOKE=1 BUILD_DIR="${BUILD_DIR}" \
   OUT_DIR="${BUILD_DIR}/bench-results" bench/run_benchmarks.sh
 
@@ -134,7 +126,7 @@ RMP_BENCH_SMOKE=1 BUILD_DIR="${BUILD_DIR}" \
 # asserts this itself; re-checking here keeps CI honest even if the driver's
 # internal checks regress — a missing artifact means a determinism gate was
 # skipped, never a benign omission.
-for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+for artifact in BENCH_pmo2 BENCH_kinetics; do
   test -s "${BUILD_DIR}/bench-results/${artifact}.json" \
     || { echo "bench smoke left no ${artifact}.json — phase gates skipped" >&2; exit 1; }
 done
@@ -168,8 +160,7 @@ SAN_TESTS=(
   numeric_sparse_test numeric_stats_test numeric_vec_test
   numeric_workspace_test
   kinetics_c3model_test kinetics_control_analysis_test kinetics_enzymes_test
-  kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
-  moo_evalcache_test integration_cache_differential_test
+  kinetics_problem_test kinetics_warm_start_test
   integration_golden_fingerprint_test
   robustness_robustness_test
   api_session_test api_serve_test
@@ -179,7 +170,7 @@ SAN_TESTS=(
 # configuration — run_benchmarks.sh itself stays on the Release build, but a
 # bench that no longer compiles with sentinels + sanitizers on is a rotted
 # gate.
-BENCH_GATES=(pmo2_scaling archive_scaling kinetics_scaling eval_cache)
+BENCH_GATES=(pmo2_scaling kinetics_scaling)
 
 # RMP_BUILD_BENCH=ON / RMP_BUILD_TOOLS=ON explicitly: they override the OFF
 # a pre-existing lane directory may still have cached (the bench gates below
@@ -258,11 +249,10 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 # ThreadSanitizer lane over the concurrency-bearing binaries: the
 # archipelago's flat per-round batches + migration topology (moo_pmo2), the
 # robustness surface and local yields (robustness_robustness: every pick's
-# or variable's trials run concurrently from one batch), the
-# epoch-committed caches (moo_evalcache covers EvalCache and CachedProblem,
-# kinetics_warm_start the warm pool), the thread-pool core itself, the sentinel suite, and the two
-# differential harnesses that run cached-vs-plain archipelagos at several
-# thread counts.  RelWithDebInfo: TSan's ~10x slowdown on top of -O0 would
+# or variable's trials run concurrently from one batch), the epoch-committed
+# warm pool (kinetics_warm_start), the thread-pool core itself, the sentinel
+# suite, the solver differential harness, and the session suite, which runs
+# kinetic archipelagos at several thread counts.  RelWithDebInfo: TSan's ~10x slowdown on top of -O0 would
 # blow the CI budget, and the contract being checked (mutex-staged writes,
 # serial-barrier commits) is optimization-independent.  RMP_POOL_WORKERS
 # forces a real worker pool even on single-core CI runners — otherwise the
@@ -273,8 +263,7 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 TSAN_TESTS=(
   core_parallel_test core_sentinel_test
-  moo_pmo2_test moo_evalcache_test kinetics_warm_start_test
-  integration_cache_differential_test numeric_solver_differential_test
+  moo_pmo2_test kinetics_warm_start_test numeric_solver_differential_test
   api_session_test api_serve_test robustness_robustness_test)
 
 cmake -B "${TSAN_BUILD_DIR}" -S . \

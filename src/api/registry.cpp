@@ -193,8 +193,7 @@ void register_builtin_problems(ProblemRegistry& reg) {
           [](const ParamMap&) { return std::make_shared<moo::BinhKorn>(); });
   reg.add("photosynthesis",
           "C3 enzyme partition design; scenario in {past,present,future}-{low,high}",
-          {"scenario", "jacobian", "chord", "pool", "min_uptake",
-           "prescreen_margin", "prescreen_radius2"},
+          {"scenario", "jacobian", "chord", "pool", "min_uptake"},
           [](const ParamMap& p) {
             const std::string label = param_string(p, "scenario", "present-high");
             const kinetics::Scenario* s = kinetics::scenario_by_label(label);
@@ -221,18 +220,8 @@ void register_builtin_problems(ProblemRegistry& reg) {
             }
             cfg.chord_max_age = param_size(p, "chord", cfg.chord_max_age);
             cfg.warm_pool_capacity = param_size(p, "pool", cfg.warm_pool_capacity);
-            // Prescreen aggressiveness (the on/off switch itself is the
-            // spec-level "prescreen" knob, not a problem parameter) and the
-            // alive-leaf feasibility threshold.  Raising min_uptake toward
-            // the scenario's natural uptake carves a smooth feasibility
-            // boundary through well-pooled territory — the habitat where
-            // the tangent prescreen pays off.
             kinetics::PhotosynthesisBounds bounds;
             bounds.min_uptake = param_double(p, "min_uptake", bounds.min_uptake);
-            bounds.prescreen_margin =
-                param_double(p, "prescreen_margin", bounds.prescreen_margin);
-            bounds.prescreen_radius2 =
-                param_double(p, "prescreen_radius2", bounds.prescreen_radius2);
             return std::make_shared<kinetics::PhotosynthesisProblem>(
                 std::make_shared<const kinetics::C3Model>(cfg), bounds);
           });

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/fault.hpp"
-#include "moo/cached_problem.hpp"
 #include "moo/state.hpp"
 #include "pareto/mining.hpp"
 #include "robustness/yield.hpp"
@@ -76,6 +75,7 @@ core::Json progress_to_json(const SessionProgress& progress) {
       .set("eval_stats",
            Json::object()
                .set("evaluations", progress.eval_stats.evaluations)
+               // Both read 0; perfbench/ parses them until its next change.
                .set("cache_hits", progress.eval_stats.cache_hits)
                .set("prescreen_skips", progress.eval_stats.prescreen_skips)
                .set("pool_hits", progress.eval_stats.pool_hits)
@@ -98,15 +98,6 @@ std::uint64_t spec_state_hash(const RunSpec& spec) {
 
 void Session::construct_stack() {
   problem_ = ProblemRegistry::global().make(spec_.problem);
-  if (spec_.prescreen && !problem_->set_prescreen(true)) {
-    throw SpecError("spec \"prescreen\": problem \"" + spec_.problem +
-                    "\" has no tangent-model prescreen");
-  }
-  if (spec_.cache > 0) {
-    // Decorate AFTER the prescreen switch: the cache forwards set_prescreen
-    // but the error message above names the inner problem directly.
-    problem_ = std::make_shared<moo::CachedProblem>(problem_, spec_.cache);
-  }
   optimizer_ = OptimizerRegistry::global().make(
       spec_.optimizer, *problem_, OptimizerContext{spec_.seed, spec_.threads});
   cumulative_ = optimizer_->population_is_archive();
@@ -321,7 +312,7 @@ RunResult Session::finish() {
         // config — re-running the Monte-Carlo ensemble would only repeat it).
         robustness::YieldResult y;
         y.gamma = best->gamma;
-        y.nominal_value = property(c.x);
+        y.nominal_value = c.objectives[0];
         y.total_trials = ycfg.perturbation.global_trials;
         y.robust_trials = static_cast<std::size_t>(
             best->gamma * static_cast<double>(y.total_trials) + 0.5);

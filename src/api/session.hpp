@@ -4,11 +4,11 @@
 // needs the same pipeline sliced into epoch-sized steps that can pause,
 // checkpoint, and resume in a different process.  The determinism contract
 // makes that slicing exact: all mutable run state (engine populations, RNG
-// stream positions, the run archive, the problem's warm pool and evaluation
-// cache) moves only at serial epoch barriers, so a Session serialized at an
-// epoch boundary and restored into a fresh process continues bit-exactly —
-// the resumed run's archive fingerprint, mined candidates and EvalStats
-// totals are identical to the uninterrupted run's, for any island_threads.
+// stream positions, the run archive, the problem's warm pool) moves only at
+// serial epoch barriers, so a Session serialized at an epoch boundary and
+// restored into a fresh process continues bit-exactly — the resumed run's
+// archive fingerprint, mined candidates and EvalStats totals are identical
+// to the uninterrupted run's, for any island_threads.
 //
 //   Session s(spec);                 // construct + initialize (epoch 0)
 //   while (!s.done()) s.step_epoch();
@@ -40,8 +40,8 @@ namespace rmp::api {
 
 /// Committed-epoch progress event: cumulative counters as of the epoch
 /// barrier.  eval_stats carries the full accounting breakdown
-/// (cache_hits/prescreen_skips/pool_hits/full_evaluations) every epoch —
-/// not only at end-of-run as RunResult does.
+/// (pool_hits/full_evaluations) every epoch — not only at end-of-run as
+/// RunResult does.
 struct SessionProgress {
   std::size_t epoch = 0;         ///< committed epochs (0 = initialized only)
   std::size_t total_epochs = 0;  ///< spec.generations
@@ -64,8 +64,10 @@ class Session {
   /// Envelope schema version; bumped when the checkpoint layout or meaning
   /// changes.  2: the kinetic warm pool holds steady-state roots only —
   /// a version-1 pool may carry limit-cycle anchors, whose cycle averages
-  /// would otherwise load as Newton roots.
-  static constexpr std::int64_t kStateVersion = 2;
+  /// would otherwise load as Newton roots.  3: the spec echo has no
+  /// `cache`/`prescreen` keys and the photosynthesis state no
+  /// `prescreen_skips` counter.
+  static constexpr std::int64_t kStateVersion = 3;
 
   /// Builds problem + optimizer from the spec and runs epoch 0
   /// (Optimizer::initialize, including the initial population's archive

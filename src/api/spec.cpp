@@ -101,9 +101,8 @@ RunSpec spec_from_json(const Json& doc) {
   if (!doc.is_object()) throw SpecError("a run spec must be a JSON object");
   require_keys(doc,
                {"problem", "optimizer", "generations", "seed", "threads",
-                "include_decision_vectors", "cache", "prescreen",
-                "checkpoint_every", "checkpoint_path", "mining",
-                "robustness"},
+                "include_decision_vectors", "checkpoint_every",
+                "checkpoint_path", "mining", "robustness"},
                "the run spec");
   RunSpec spec;
   const Json* problem = doc.find("problem");
@@ -126,12 +125,6 @@ RunSpec spec_from_json(const Json& doc) {
   if (const Json* v = doc.find("include_decision_vectors")) {
     spec.include_decision_vectors =
         field("include_decision_vectors", [&] { return v->as_bool(); });
-  }
-  if (const Json* v = doc.find("cache")) {
-    spec.cache = field("cache", [&] { return v->as_size(); });
-  }
-  if (const Json* v = doc.find("prescreen")) {
-    spec.prescreen = field("prescreen", [&] { return v->as_bool(); });
   }
   if (const Json* v = doc.find("checkpoint_every")) {
     spec.checkpoint_every = field("checkpoint_every", [&] { return v->as_size(); });
@@ -163,8 +156,6 @@ Json spec_to_json(const RunSpec& spec) {
       .set("seed", spec.seed)
       .set("threads", spec.threads)
       .set("include_decision_vectors", spec.include_decision_vectors)
-      .set("cache", spec.cache)
-      .set("prescreen", spec.prescreen)
       .set("checkpoint_every", spec.checkpoint_every)
       .set("checkpoint_path", spec.checkpoint_path)
       .set("mining", Json::object()

@@ -35,51 +35,4 @@ FbaResult run_fba(const MetabolicNetwork& network, const num::Vec& objective_wei
   return r;
 }
 
-std::vector<FvaEntry> run_fva(const MetabolicNetwork& network,
-                              const std::string& objective_reaction_id,
-                              double fraction_of_optimum,
-                              const std::vector<std::string>& reactions) {
-  std::vector<FvaEntry> out;
-  const FbaResult base = run_fba(network, objective_reaction_id);
-  if (!base.optimal()) return out;
-
-  const auto obj_idx = network.reaction_index(objective_reaction_id);
-  assert(obj_idx.has_value());
-
-  // Pin the objective flux to at least the required fraction by tightening
-  // its lower bound; an extra constraint row is unnecessary.
-  num::LpProblem lp = build_lp(network, num::Vec(network.num_reactions(), 0.0));
-  lp.lower[*obj_idx] =
-      std::max(lp.lower[*obj_idx], fraction_of_optimum * base.objective_value);
-
-  std::vector<std::size_t> targets;
-  if (reactions.empty()) {
-    targets.resize(network.num_reactions());
-    for (std::size_t i = 0; i < targets.size(); ++i) targets[i] = i;
-  } else {
-    for (const std::string& id : reactions) {
-      const auto idx = network.reaction_index(id);
-      assert(idx.has_value());
-      targets.push_back(*idx);
-    }
-  }
-
-  for (std::size_t t : targets) {
-    FvaEntry e;
-    e.reaction_id = network.reaction(t).id;
-
-    lp.objective.assign(network.num_reactions(), 0.0);
-    lp.objective[t] = 1.0;
-    const num::LpSolution hi = num::solve_lp(lp);
-    e.max_flux = hi.status == num::LpStatus::kOptimal ? hi.objective_value : 0.0;
-
-    lp.objective[t] = -1.0;
-    const num::LpSolution lo = num::solve_lp(lp);
-    e.min_flux = lo.status == num::LpStatus::kOptimal ? -lo.objective_value : 0.0;
-
-    out.push_back(e);
-  }
-  return out;
-}
-
 }  // namespace rmp::fba

@@ -1,11 +1,8 @@
-// Flux Balance Analysis and Flux Variability Analysis on a MetabolicNetwork:
-//   FBA:  maximize c^T v  s.t.  S v = 0,  lb <= v <= ub  (LP)
-//   FVA:  per-reaction min/max flux holding the FBA objective at a fraction
-//         of its optimum.
+// Flux Balance Analysis on a MetabolicNetwork:
+//   maximize c^T v  s.t.  S v = 0,  lb <= v <= ub  (LP)
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "fba/network.hpp"
 #include "numeric/simplex.hpp"
@@ -27,19 +24,5 @@ struct FbaResult {
 /// FBA maximizing an arbitrary linear combination of fluxes.
 [[nodiscard]] FbaResult run_fba(const MetabolicNetwork& network,
                                 const num::Vec& objective_weights);
-
-struct FvaEntry {
-  std::string reaction_id;
-  double min_flux = 0.0;
-  double max_flux = 0.0;
-};
-
-/// Flux variability: for each listed reaction (all when empty), the min and
-/// max flux attainable while keeping `objective_reaction_id` at
-/// >= fraction_of_optimum * FBA-optimum.
-[[nodiscard]] std::vector<FvaEntry> run_fva(const MetabolicNetwork& network,
-                                            const std::string& objective_reaction_id,
-                                            double fraction_of_optimum = 1.0,
-                                            const std::vector<std::string>& reactions = {});
 
 }  // namespace rmp::fba

@@ -12,8 +12,6 @@
 #include <utility>
 
 #include "core/parallel.hpp"
-
-#include "moo/evalcache.hpp"
 #include "numeric/newton.hpp"
 #include "numeric/workspace.hpp"
 
@@ -756,32 +754,6 @@ num::Vec C3Model::warm_extrapolated_start(const WarmStartPool::Entry& entry,
   return start;
 }
 
-TangentPrediction C3Model::predict_uptake(std::span<const double> mult) const {
-  TangentPrediction pred;
-  const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
-  if (hit.entry == nullptr) return pred;
-  pred.dist2 = num::dist2(hit.entry->key, mult);
-  if (moo::bitwise_equal(hit.entry->key, mult)) {
-    // Exact repeat: the stored root is the candidate's own, so this is the
-    // full solve's answer, not a prediction.
-    pred.valid = true;
-    pred.exact = true;
-    pred.uptake = co2_uptake(hit.entry->state, mult);
-    return pred;
-  }
-  // warm_extrapolated_start builds (or reuses) the entry's root-Jacobian LU
-  // and takes the implicit-function step; only a successful tangent step
-  // counts as a prediction — the raw-state fallback is a Newton start, not
-  // a trustworthy objective estimate.
-  const num::Vec extrapolated = warm_extrapolated_start(*hit.entry, mult);
-  if (!hit.entry->root_cache->valid) return pred;
-  pred.valid = true;
-  pred.uptake = co2_uptake(extrapolated, mult);
-  pred.step2 = num::dist2(extrapolated, hit.entry->state) /
-               std::max(num::dot(hit.entry->state, hit.entry->state), 1e-300);
-  return pred;
-}
-
 void C3Model::note_living_solution(std::span<const double> mult,
                                    const num::Vec& state) const {
   warm_pool_.record(mult, state);
@@ -806,17 +778,16 @@ bool C3Model::pool_exact_lookup(std::span<const double> mult,
   // candidate's living root, so return it directly instead of re-iterating
   // Newton from it.  Recomputing the uptake from (state, mult) reproduces
   // the originally reported value bitwise (the accepting attempt computed
-  // it the same way), which is what lets an EvalCache hit stand in for a
-  // re-evaluation without perturbing the optimizer's trajectory.  The root
-  // is NOT restaged: the pool's pending set, and hence its aging, stays
-  // identical whether repeats are answered here or by a cache layer above.
+  // it the same way), so a repeated candidate reports exactly what it
+  // reported the first time.  The root is NOT restaged: a repeat leaves the
+  // pool's pending set, and hence its aging, untouched.
   //
   // The hit fills `out` without allocating (beyond first-use growth of
   // out.state and the thread workspace): num::assign reuses capacity and
   // the residual scratch comes from the arena.  The allocation sentinel
   // holds this path to literally zero heap allocations once warm.
   const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
-  if (hit.entry == nullptr || !moo::bitwise_equal(hit.entry->key, mult)) {
+  if (hit.entry == nullptr || !num::bitwise_equal(hit.entry->key, mult)) {
     return false;
   }
   num::assign(out.state, hit.entry->state);

@@ -220,27 +220,6 @@ struct SteadyState {
   bool oscillatory = false;
 };
 
-/// First-order uptake prediction from the warm-start pool's tangent models
-/// (see C3Model::predict_uptake).
-struct TangentPrediction {
-  /// A committed neighbour with a non-singular cached root-Jacobian LU was
-  /// available; `uptake` is meaningful only when true.
-  bool valid = false;
-  /// The neighbour's key equals the queried candidate bitwise: `uptake` is
-  /// then exactly what a full steady_state() call would report, not an
-  /// extrapolation.
-  bool exact = false;
-  double uptake = 0.0;  ///< predicted CO2 uptake, umol m^-2 s^-1
-  double dist2 = 0.0;   ///< squared distance from the candidate to the neighbour
-  /// Relative squared extrapolation step ||y_pred - y*||^2 / ||y*||^2 — the
-  /// tangent model's own self-consistency measure.  Multiplier-space
-  /// distance is a poor trust signal (a starved Vmax at tiny dist2 still
-  /// makes F(y*, mult) huge), but a large implicit-function step says the
-  /// linearization left its own neighbourhood: trust predictions only when
-  /// step2 is small.  0 for exact hits.
-  double step2 = 0.0;
-};
-
 class C3Model {
  public:
   explicit C3Model(C3Config config = {});
@@ -297,17 +276,6 @@ class C3Model {
   /// commit_epoch()); inside a core parallel region this is a deferred
   /// no-op, so nothing evaluated inside a batch can commit mid-batch.
   void commit_warm_starts() const;
-
-  /// Cheap first-order CO2-uptake prediction for a candidate, WITHOUT a
-  /// kinetic solve: takes the pool's nearest committed entry, extrapolates
-  /// its root along the entry's cached root-Jacobian LU (one RHS evaluation
-  /// and one triangular solve — the implicit-function tangent model), and
-  /// evaluates the uptake at the extrapolated state.  Pure function of
-  /// (candidate, committed pool snapshot), so prescreen decisions built on
-  /// it stay thread-count invariant.  `valid` is false when the pool is
-  /// empty or the neighbour's cached Jacobian was singular.
-  [[nodiscard]] TangentPrediction predict_uptake(
-      std::span<const double> mult) const;
 
   /// The epoch warm-start pool (tests and diagnostics).
   [[nodiscard]] const WarmStartPool& warm_pool() const { return warm_pool_; }

@@ -9,9 +9,9 @@ namespace rmp::kinetics {
 
 namespace {
 /// Set by evaluate(), read by last_result_memoizable() on the same thread
-/// immediately afterwards (the CachedProblem contract), so a plain
-/// thread-local is race-free even with several problem instances sharing a
-/// thread.  Starts true: callers that never evaluated have nothing to veto.
+/// immediately afterwards, so a plain thread-local is race-free even with
+/// several problem instances sharing a thread.  Starts true: a thread that
+/// never evaluated saw no limit cycle.
 thread_local bool t_last_memoizable = true;
 }  // namespace
 
@@ -20,10 +20,7 @@ PhotosynthesisProblem::PhotosynthesisProblem(std::shared_ptr<const C3Model> mode
     : model_(std::move(model)),
       lower_(kNumEnzymes, bounds.lower),
       upper_(kNumEnzymes, bounds.upper),
-      min_uptake_(bounds.min_uptake),
-      prescreen_margin_(bounds.prescreen_margin),
-      prescreen_radius2_(bounds.prescreen_radius2),
-      prescreen_(bounds.prescreen) {}
+      min_uptake_(bounds.min_uptake) {}
 
 std::string PhotosynthesisProblem::name() const {
   const C3Config& c = model_->config();
@@ -34,30 +31,9 @@ std::string PhotosynthesisProblem::name() const {
 double PhotosynthesisProblem::evaluate(std::span<const double> x,
                                        std::span<double> f) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
-  t_last_memoizable = true;
   const double nitrogen = model_->nitrogen(x);
 
-  if (prescreen_.load(std::memory_order_relaxed)) {
-    const TangentPrediction pred = model_->predict_uptake(x);
-    // Exact pool repeats are never skipped (the stored root IS this
-    // candidate's answer and costs almost nothing); extrapolated
-    // predictions may skip the solve only when trustworthy (inside the
-    // trust radius) AND confidently dead (margin below the alive-leaf
-    // threshold).  The skip reports the candidate infeasible, and the
-    // archive never admits infeasible candidates, so nothing the full
-    // solve would have archived can be lost.
-    if (pred.valid && !pred.exact && pred.dist2 <= prescreen_radius2_ &&
-        pred.uptake + prescreen_margin_ < min_uptake_) {
-      prescreen_skips_.fetch_add(1, std::memory_order_relaxed);
-      f[0] = -pred.uptake;
-      f[1] = nitrogen;
-      return min_uptake_ - pred.uptake;
-    }
-  }
-
   const SteadyState ss = model_->steady_state(x);
-  // Limit-cycle averages are feasible-looking but not bitwise-repeatable
-  // (no pooled root backs them); veto their memoization.
   t_last_memoizable = !ss.oscillatory;
   if (ss.pool_exact_hit) {
     pool_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -90,7 +66,6 @@ bool PhotosynthesisProblem::last_result_memoizable() const {
 moo::EvalStats PhotosynthesisProblem::eval_stats() const {
   moo::EvalStats s;
   s.evaluations = evaluations_.load(std::memory_order_relaxed);
-  s.prescreen_skips = prescreen_skips_.load(std::memory_order_relaxed);
   s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
   s.full_evaluations = full_evaluations_.load(std::memory_order_relaxed);
   return s;
@@ -103,9 +78,6 @@ void PhotosynthesisProblem::save_state(core::Json& out) const {
   out.set("pool", std::move(pool));
   out.set("evaluations", static_cast<std::uint64_t>(
                              evaluations_.load(std::memory_order_relaxed)));
-  out.set("prescreen_skips",
-          static_cast<std::uint64_t>(
-              prescreen_skips_.load(std::memory_order_relaxed)));
   out.set("pool_hits", static_cast<std::uint64_t>(
                            pool_hits_.load(std::memory_order_relaxed)));
   out.set("full_evaluations",
@@ -119,8 +91,6 @@ void PhotosynthesisProblem::load_state(const core::Json& doc) const {
   model_->load_pool_state(state::require(doc, "pool"));
   evaluations_.store(state::require(doc, "evaluations").as_size(),
                      std::memory_order_relaxed);
-  prescreen_skips_.store(state::require(doc, "prescreen_skips").as_size(),
-                         std::memory_order_relaxed);
   pool_hits_.store(state::require(doc, "pool_hits").as_size(),
                    std::memory_order_relaxed);
   full_evaluations_.store(state::require(doc, "full_evaluations").as_size(),

@@ -24,28 +24,6 @@ struct PhotosynthesisBounds {
   /// violations (the "dead leaf" steady state is mathematically Pareto
   /// optimal on the nitrogen axis but biologically meaningless).
   double min_uptake = 0.5;
-
-  // --- tangent-model prescreen ------------------------------------------
-  // When enabled (spec knob prescreen=true, or set_prescreen()), evaluate()
-  // first asks the warm pool's tangent model to predict the candidate's
-  // uptake (C3Model::predict_uptake).  A candidate is SKIPPED — no kinetic
-  // solve — only when the prediction is trustworthy (the tangent neighbour
-  // lies within prescreen_radius2) and confidently below the alive-leaf
-  // constraint (predicted uptake + prescreen_margin < min_uptake).  A
-  // skipped candidate is reported INFEASIBLE with violation
-  // min_uptake - predicted_uptake; infeasible candidates are never admitted
-  // to the archive, so a skip can only ever drop a candidate the full solve
-  // would have rejected too (soundness by construction — see
-  // ARCHITECTURE.md).  The decision is a pure function of (candidate,
-  // committed pool snapshot): thread-count invariant like everything else.
-  bool prescreen = false;
-  /// Safety margin (umol m^-2 s^-1) the predicted uptake must fall below
-  /// min_uptake by before a solve is skipped — absorbs the tangent model's
-  /// first-order truncation error near the threshold.
-  double prescreen_margin = 2.0;
-  /// Trust region: squared multiplier-space distance beyond which the
-  /// tangent extrapolation is not trusted to decide a skip.
-  double prescreen_radius2 = 1.0;
 };
 
 class PhotosynthesisProblem final : public moo::Problem {
@@ -69,8 +47,7 @@ class PhotosynthesisProblem final : public moo::Problem {
   /// moo::Problem::commit_epoch and C3Model::commit_warm_starts).
   void commit_epoch() const override;
 
-  /// Evaluation accounting: evaluations/prescreen_skips/pool_hits/
-  /// full_evaluations (cache_hits stays 0 — the cache layer sits above).
+  /// Evaluation accounting: evaluations = pool_hits + full_evaluations.
   [[nodiscard]] moo::EvalStats eval_stats() const override;
 
   /// Checkpoint seam: the model's warm-start pool (roots; LU caches are
@@ -80,23 +57,9 @@ class PhotosynthesisProblem final : public moo::Problem {
   void save_state(core::Json& out) const override;
   void load_state(const core::Json& doc) const override;
 
-  /// Honours the request (the tangent prescreen is always available here);
-  /// margin/radius come from PhotosynthesisBounds.
-  bool set_prescreen(bool enabled) const override {
-    prescreen_.store(enabled, std::memory_order_relaxed);
-    return true;
-  }
-  [[nodiscard]] bool prescreen_enabled() const {
-    return prescreen_.load(std::memory_order_relaxed);
-  }
-
-  /// Vetoes memoization of limit-cycle averages: a repeat of an oscillatory
-  /// candidate re-runs the solve ladder, whose cheap attempts start from a
-  /// pool snapshot that may have moved, so repeats are not
-  /// bitwise-guaranteed.  Steady roots are pooled and reproduced bitwise,
-  /// so only those are memoizable.
-  /// (Per-thread state, read by the caching decorator straight after
-  /// evaluate() on the same thread.)
+  /// False after a limit-cycle average, true after a steady root (per
+  /// thread, for the most recent evaluate() on it).  Kept only as
+  /// perfbench/'s settled/cycle probe; the next benchmark change removes it.
   [[nodiscard]] bool last_result_memoizable() const override;
 
   [[nodiscard]] const C3Model& model() const { return *model_; }
@@ -112,17 +75,10 @@ class PhotosynthesisProblem final : public moo::Problem {
   std::shared_ptr<const C3Model> model_;
   num::Vec lower_, upper_;
   double min_uptake_;
-  double prescreen_margin_;
-  double prescreen_radius2_;
-  /// Runtime prescreen switch; mutable+atomic because toggling it (and the
-  /// counters below) is instrumentation, not an observable result change —
-  /// evaluate() stays const and concurrency-safe.
-  mutable std::atomic<bool> prescreen_;
   /// Relaxed counters: each increment is a per-candidate deterministic
   /// outcome, so the totals are thread-count invariant (only the increment
   /// ORDER varies with scheduling).
   mutable std::atomic<std::size_t> evaluations_{0};
-  mutable std::atomic<std::size_t> prescreen_skips_{0};
   mutable std::atomic<std::size_t> pool_hits_{0};
   mutable std::atomic<std::size_t> full_evaluations_{0};
 };

@@ -39,32 +39,8 @@ bool Archive::offer(const Individual& candidate) {
 
 void Archive::offer_all(std::span<const Individual> candidates) {
   if (candidates.empty()) return;
-  if (merge_ == ArchiveMerge::kBatch) {
-    merge_batch(candidates);
-  } else {
-    merge_naive(candidates);
-  }
+  merge_batch(candidates);
   if (capacity_ != 0 && members_.size() > capacity_) prune();
-}
-
-void Archive::merge_naive(std::span<const Individual> candidates) {
-  // offer() minus the per-candidate prune — pruning is per batch, a
-  // semantics both policies share.
-  for (const Individual& c : candidates) {
-    if (!c.feasible()) continue;
-    bool rejected = false;
-    for (const Individual& m : members_) {
-      if (dominates(m.f, c.f) || m.f == c.f) {
-        rejected = true;
-        break;
-      }
-    }
-    if (rejected) continue;
-    std::erase_if(members_,
-                  [&](const Individual& m) { return dominates(c.f, m.f); });
-    members_.insert(
-        std::upper_bound(members_.begin(), members_.end(), c, canonical_less), c);
-  }
 }
 
 void Archive::merge_batch(std::span<const Individual> candidates) {
@@ -81,7 +57,7 @@ void Archive::merge_batch(std::span<const Individual> candidates) {
   // 2. Batch front filter: only the batch's non-dominated, de-duplicated
   // survivors can enter (dominance is transitive, so anything a dropped
   // candidate would have evicted is evicted by its dominator too — see the
-  // equivalence tests against the naive policy).  First offer wins among
+  // differential tests against the naive oracle).  First offer wins among
   // exact objective duplicates, matching sequential semantics.
   std::vector<std::size_t> front;
   if (m == 2) {

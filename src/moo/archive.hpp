@@ -5,7 +5,7 @@
 // algorithm" (755 Pareto optimal concentrations etc.).  Pruning removes the
 // most crowded members when capacity is exceeded, preserving front extremes.
 //
-// Batch-merge semantics (both policies implement exactly these):
+// Batch-merge semantics:
 //   * offer_all(batch) is one transaction: infeasible candidates and exact
 //     objective-space duplicates (first offer wins) are dropped, the batch's
 //     non-dominated survivors are merged against the archive (dominated
@@ -28,12 +28,10 @@
 //     crowding first; crowding ties evict the canonically-later member.
 //     Front extremes carry infinite crowding and survive first.
 //
-// Merge policies: kBatch is the production path — non-dominated-sorts the
-// incoming batch once (O(B log B) for two objectives via the dominance.cpp
-// sweep), then merges two sorted staircases in O(N + B); kNaive is the
-// reference — a per-candidate linear dominance scan with sorted insertion,
-// kept for differential tests and bench/archive_scaling, which select it
-// explicitly.  Same inputs, same members, same fingerprints, always.
+// The merge non-dominated-sorts the incoming batch once (O(B log B) for two
+// objectives via the dominance.cpp sweep), then merges two sorted
+// staircases in O(N + B).  Its reference oracle, a per-candidate linear
+// dominance scan with sorted insertion, lives in tests/moo/archive_oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +43,10 @@
 
 namespace rmp::moo {
 
-/// How offer_all merges a batch.  Identical semantics, different cost:
-/// kBatch is O((N + B) log(N + B)) per batch for two objectives, kNaive is
-/// the O(N * B) reference implementation.
-enum class ArchiveMerge { kBatch, kNaive };
-
 class Archive {
  public:
   /// capacity == 0 means unbounded.
-  explicit Archive(std::size_t capacity = 0, ArchiveMerge merge = ArchiveMerge::kBatch)
-      : capacity_(capacity), merge_(merge) {}
+  explicit Archive(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Offers a candidate: inserted iff feasible-and-non-dominated w.r.t. the
   /// archive (infeasible candidates are never archived).  Dominated residents
@@ -70,22 +62,21 @@ class Archive {
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool empty() const { return members_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] ArchiveMerge merge_policy() const { return merge_; }
 
   /// FNV-1a hash over every member's decision vector, objectives and
   /// violation (raw IEEE-754 bits; the scratch rank/crowding fields are
   /// excluded), walked in canonical order.  Because the stored order is
   /// canonical, two archives fingerprint equal iff they hold bit-identical
   /// member sets — the cheap identity asserted by the archipelago
-  /// thread-invariance tests, BENCH_pmo2.json and BENCH_archive.json.
+  /// thread-invariance tests and BENCH_pmo2.json.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   void clear() { members_.clear(); }
 
   /// Serializes the members (canonical order is the stored order, so this is
   /// a plain array round-trip) plus the fingerprint for the load-time
-  /// cross-check.  Capacity and merge policy are construction configuration,
-  /// not state — the restoring caller rebuilds them from its spec.
+  /// cross-check.  Capacity is construction configuration, not state — the
+  /// restoring caller rebuilds it from its spec.
   void save_state(core::Json& out) const;
 
   /// Replaces the members with a save_state() document, then re-derives the
@@ -95,17 +86,13 @@ class Archive {
   void load_state(const core::Json& doc);
 
  private:
-  /// Batch path: front-filter the candidates, then staircase-merge (2-obj)
-  /// or cross-scan (general) against the sorted archive.  No pruning.
+  /// Front-filters the candidates, then staircase-merges (2-obj) or
+  /// cross-scans (general) against the sorted archive.  No pruning.
   void merge_batch(std::span<const Individual> candidates);
-  /// Reference path: per-candidate linear scans + sorted insertion.  No
-  /// pruning.
-  void merge_naive(std::span<const Individual> candidates);
   /// Single-pass capacity prune (semantics in the header comment).
   void prune();
 
   std::size_t capacity_;
-  ArchiveMerge merge_;
   std::vector<Individual> members_;  ///< canonical order, unique objectives
 };
 

@@ -52,7 +52,7 @@ Pmo2::Pmo2(const Problem& problem, Pmo2Options options, AlgorithmFactory factory
     : Optimizer(problem, options.island_threads, /*commit_each_round=*/false),
       opts_(options),
       rng_(options.seed ^ kMigrationStreamTag),
-      archive_(options.archive_capacity, options.archive_merge) {
+      archive_(options.archive_capacity) {
   assert(opts_.islands >= 1);
   if (!factory) factory = default_nsga2_factory();
   islands_.reserve(opts_.islands);

@@ -64,10 +64,6 @@ struct Pmo2Options {
   TopologyKind topology = TopologyKind::kAllToAll;
   std::size_t random_topology_degree = 1;  ///< out-degree for TopologyKind::kRandom
   std::size_t archive_capacity = 0;        ///< 0 = unbounded
-  /// Merge policy of the global archive.  kBatch and the kNaive reference
-  /// are semantically identical (fingerprint-equal, tested); the knob exists
-  /// so differential tests and benches can pit them against each other.
-  ArchiveMerge archive_merge = ArchiveMerge::kBatch;
   std::uint64_t seed = 7;
   /// Width of each round's batch, which holds every island's proposals
   /// (0 = one thread per hardware context, 1 = serial).  The archive is

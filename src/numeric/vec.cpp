@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace rmp::num {
 
@@ -107,6 +108,12 @@ void clamp_inplace(Vec& y, std::span<const double> lo, std::span<const double> h
 
 bool all_finite(std::span<const double> a) {
   return std::all_of(a.begin(), a.end(), [](double v) { return std::isfinite(v); });
+}
+
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  if (a.empty()) return true;
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 double sum(std::span<const double> a) {

@@ -69,6 +69,10 @@ void clamp_inplace(Vec& y, std::span<const double> lo, std::span<const double> h
 /// True when every element is finite (no NaN / Inf).
 [[nodiscard]] bool all_finite(std::span<const double> a);
 
+/// True iff a and b are identical IEEE-754 bit patterns of equal length.
+/// Stricter than operator==: -0.0 != +0.0, NaN == the same NaN.
+[[nodiscard]] bool bitwise_equal(std::span<const double> a, std::span<const double> b);
+
 /// Sum of elements.
 [[nodiscard]] double sum(std::span<const double> a);
 

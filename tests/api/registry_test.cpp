@@ -109,11 +109,15 @@ TEST(ProblemRegistryTest, RejectsUnknownNamesScenariosAndParams) {
 }
 
 TEST(ProblemRegistryTest, RemovedPhotosynthesisKeysAreRejectedByName) {
-  // The limit-cycle shooting switch and its prescreen radius no longer
-  // exist; a stale spec naming them must fail loudly, not be reinterpreted.
+  // The limit-cycle shooting switch, its prescreen radius and the tangent
+  // prescreen's margin and trust radius no longer exist; a stale spec
+  // naming them must fail loudly, not be reinterpreted.
   const auto& reg = ProblemRegistry::global();
   const std::pair<std::string, std::string> cases[] = {
-      {"shooting", "on"}, {"cycle_prescreen_radius2", "0.25"}};
+      {"shooting", "on"},
+      {"cycle_prescreen_radius2", "0.25"},
+      {"prescreen_margin", "2"},
+      {"prescreen_radius2", "1"}};
   for (const auto& [key, value] : cases) {
     const std::string ref = "photosynthesis?" + key + "=" + value;
     try {

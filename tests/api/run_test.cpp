@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
@@ -91,6 +95,20 @@ TEST(RunSpecTest, RejectsBadSpecs) {
   EXPECT_THROW(
       (void)spec_from_string(R"({"problem": "zdt1", "robustness": {"trials": 1.5}})"),
       SpecError);
+  // Removed top-level knobs (the evaluation cache and the tangent
+  // prescreen) are rejected by name, not silently dropped.
+  for (const char* key : {"cache", "prescreen"}) {
+    const std::string text =
+        std::string(R"({"problem": "zdt1", ")") + key + R"(": 1})";
+    try {
+      (void)spec_from_string(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"" + std::string(key) + "\""),
+                std::string::npos)
+          << "actual error: " << e.what();
+    }
+  }
   // Malformed JSON reaches the caller as JsonError.
   EXPECT_THROW((void)spec_from_string(R"({"problem": )"), core::JsonError);
 }
@@ -148,6 +166,33 @@ TEST(ApiRunTest, RobustnessStagesProduceYieldsAndSurface) {
   const RunResult again = run(spec);
   ASSERT_EQ(again.mined.size(), result.mined.size());
   EXPECT_DOUBLE_EQ(again.mined[0].yield->gamma, result.mined[0].yield->gamma);
+}
+
+// The max-yield pick reports its archived objective 0 as the nominal, like
+// the mined candidates before it.  This kinetic run's pick is a limit-cycle
+// candidate, whose re-evaluation after the surface does not repeat the
+// archived value bitwise (-2.9267520662907236 against the archived
+// -2.9249746342422744), so the nominal must not be re-evaluated.
+TEST(ApiRunTest, MaxYieldNominalIsTheArchivedObjective) {
+  RunSpec spec;
+  spec.problem = "photosynthesis?scenario=present-high";
+  spec.optimizer = "pmo2?islands=2&population=8&migration_interval=2&migrants=2";
+  spec.generations = 4;
+  spec.seed = 7;
+  spec.threads = 2;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 6;
+  spec.robustness.surface_samples = 4;
+  const RunResult result = run(spec);
+  ASSERT_FALSE(result.mined.empty());
+  const MinedCandidate& pick = result.mined.back();
+  ASSERT_EQ(pick.selection, "max-yield");
+  ASSERT_TRUE(pick.yield.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pick.yield->nominal_value),
+            std::bit_cast<std::uint64_t>(pick.objectives[0]))
+      << pick.yield->nominal_value << " vs " << pick.objectives[0];
+  EXPECT_EQ(pick.yield->absolute_threshold,
+            spec.robustness.epsilon_fraction * std::fabs(pick.objectives[0]));
 }
 
 TEST(ApiRunTest, ShadowMinimaAreTheFrontsExtremes) {

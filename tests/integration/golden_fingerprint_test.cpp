@@ -1,14 +1,14 @@
 // Golden-fingerprint regression corpus: committed (spec, seed) -> archive
 // fingerprint pairs for the canonical PMO2-over-photosynthesis workloads.
-// The differential suites prove invariances (cache on == off, any thread
-// count); this corpus pins the ABSOLUTE answers, so a behavioral drift that
+// The differential suites prove invariances (any thread count, any resume
+// point); this corpus pins the ABSOLUTE answers, so a behavioral drift that
 // shifts every configuration in lockstep — which no differential test can
 // see — still fails loudly.
 //
 // The fingerprint is api::RunResult::fingerprint, the FNV-1a digest of the
 // canonical archive (see api/run.hpp).  Every workload below is small enough
-// for a fast ctest lane; the table spans both scenarios the ISSUE names
-// (past-low, present-high) with the cache/prescreen ladder on each.
+// for a fast ctest lane; the table spans two scenarios (past-low,
+// present-high).
 //
 // Regenerating after an INTENTIONAL behavior change (e.g. a new solver
 // default that legitimately moves cycle averages):
@@ -34,8 +34,6 @@ namespace {
 struct GoldenRow {
   const char* name;      // stable identifier, also the gtest failure label
   const char* scenario;  // photosynthesis scenario label
-  std::size_t cache;     // EvalCache capacity (0 = off)
-  bool prescreen;
   std::uint64_t fingerprint;
 };
 
@@ -48,23 +46,14 @@ RunSpec golden_spec(const GoldenRow& row) {
   spec.generations = 5;
   spec.seed = 11;
   spec.threads = 2;
-  spec.cache = row.cache;
-  spec.prescreen = row.prescreen;
   spec.robustness.enabled = false;
   return spec;
 }
 
-// The committed corpus.  Cache-on rows MUST repeat the cache-off value for
-// the same scenario (memoization never changes answers); the prescreen rows
-// may differ (the skip path substitutes predicted violations — see
-// photosynthesis_problem.hpp).
+// The committed corpus.
 constexpr GoldenRow kGolden[] = {
-    {"past-low/plain", "past-low", 0, false, 0xa985cb891e82f523ULL},
-    {"past-low/cache", "past-low", 4096, false, 0xa985cb891e82f523ULL},
-    {"past-low/cache+prescreen", "past-low", 4096, true, 0xa985cb891e82f523ULL},
-    {"present-high/plain", "present-high", 0, false, 0xf76ff3631708a765ULL},
-    {"present-high/cache", "present-high", 4096, false, 0xf76ff3631708a765ULL},
-    {"present-high/cache+prescreen", "present-high", 4096, true, 0xf76ff3631708a765ULL},
+    {"past-low/plain", "past-low", 0xa985cb891e82f523ULL},
+    {"present-high/plain", "present-high", 0xf76ff3631708a765ULL},
 };
 
 TEST(GoldenFingerprintTest, ArchiveFingerprintsMatchCommittedTable) {
@@ -75,21 +64,11 @@ TEST(GoldenFingerprintTest, ArchiveFingerprintsMatchCommittedTable) {
   }
 }
 
-TEST(GoldenFingerprintTest, CacheRowsRepeatThePlainFingerprint) {
-  // Redundant with the committed values, but self-checks the TABLE: a
-  // regeneration that pasted a cache-on row differing from its plain row
-  // would mean the invariant broke while regenerating — fail here, at the
-  // source, instead of in the differential suite later.
-  EXPECT_EQ(kGolden[0].fingerprint, kGolden[1].fingerprint);
-  EXPECT_EQ(kGolden[3].fingerprint, kGolden[4].fingerprint);
-}
-
 TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
   for (const GoldenRow& row : kGolden) {
     const RunResult result = run(golden_spec(row));
-    std::printf("    {\"%s\", \"%s\", %zu, %s, 0x%016" PRIx64 "ULL},\n",
-                row.name, row.scenario, row.cache,
-                row.prescreen ? "true" : "false", result.fingerprint);
+    std::printf("    {\"%s\", \"%s\", 0x%016" PRIx64 "ULL},\n", row.name,
+                row.scenario, result.fingerprint);
   }
 }
 

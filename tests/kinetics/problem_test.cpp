@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "kinetics/scenarios.hpp"
+#include "numeric/vec.hpp"
 
 namespace rmp::kinetics {
 namespace {
@@ -29,6 +30,18 @@ TEST(PhotosynthesisProblemTest, NaturalPartitionIsFeasible) {
   const auto [uptake, nitrogen] = PhotosynthesisProblem::to_paper_units(f);
   EXPECT_NEAR(uptake, 15.486, 0.1 * 15.486);
   EXPECT_NEAR(nitrogen, 208330.0, 0.05 * 208330.0);
+
+  // Outside a parallel region the root commits at once, so a repeat is the
+  // pool's exact-key hit: same answer bitwise, counted as a pool hit, and
+  // every evaluation is either a pool hit or a full solve.
+  const moo::EvalStats before = problem()->eval_stats();
+  num::Vec again(2);
+  EXPECT_EQ(problem()->evaluate(x, again), violation);
+  EXPECT_TRUE(num::bitwise_equal(f, again));
+  const moo::EvalStats after = problem()->eval_stats();
+  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
+  EXPECT_EQ(after.full_evaluations, before.full_evaluations);
+  EXPECT_EQ(after.evaluations, after.pool_hits + after.full_evaluations);
 }
 
 TEST(PhotosynthesisProblemTest, NitrogenObjectiveIndependentOfKinetics) {

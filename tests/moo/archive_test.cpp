@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "archive_oracle.hpp"
 #include "core/json.hpp"
 #include "moo/dominance.hpp"
+#include "moo/pmo2.hpp"
 #include "moo/state.hpp"
+#include "moo/testproblems.hpp"
 #include "numeric/rng.hpp"
 
 namespace rmp::moo {
@@ -185,8 +190,8 @@ std::vector<Individual> random_batch(num::Rng& rng, std::size_t count) {
 TEST(ArchiveTest, BatchAndNaivePoliciesAreBitIdentical) {
   for (const std::size_t capacity : {std::size_t{0}, std::size_t{40}}) {
     num::Rng rng(17);
-    Archive batch_archive(capacity, ArchiveMerge::kBatch);
-    Archive naive_archive(capacity, ArchiveMerge::kNaive);
+    Archive batch_archive(capacity);
+    oracle::NaiveArchive naive_archive(capacity);
     for (int round = 0; round < 30; ++round) {
       const auto batch = random_batch(rng, 1 + static_cast<std::size_t>(round) % 60);
       batch_archive.offer_all(batch);
@@ -254,16 +259,16 @@ TEST(ArchiveTest, PruneBreaksCrowdingTiesCanonically) {
   EXPECT_EQ(forward.solutions()[1].f, (num::Vec{1.0, 2.0}));
   EXPECT_EQ(forward.solutions()[2].f, (num::Vec{3.0, 0.0}));
 
-  // The naive reference applies the same rule.
-  Archive naive(3, ArchiveMerge::kNaive);
+  // The naive oracle applies the same rule.
+  oracle::NaiveArchive naive(3);
   naive.offer_all(points);
   EXPECT_EQ(naive.fingerprint(), forward.fingerprint());
 }
 
 TEST(ArchiveTest, ThreeObjectiveBatchMatchesNaive) {
   num::Rng rng(31);
-  Archive batch_archive(25, ArchiveMerge::kBatch);
-  Archive naive_archive(25, ArchiveMerge::kNaive);
+  Archive batch_archive(25);
+  oracle::NaiveArchive naive_archive(25);
   for (int round = 0; round < 10; ++round) {
     std::vector<Individual> pop;
     for (int i = 0; i < 50; ++i) {
@@ -277,6 +282,79 @@ TEST(ArchiveTest, ThreeObjectiveBatchMatchesNaive) {
     ASSERT_EQ(batch_archive.fingerprint(), naive_archive.fingerprint())
         << "round " << round;
   }
+}
+
+/// Island engine decorator that records the population each generation
+/// ends with — exactly what PMO2's epoch barrier offers to its archive, in
+/// island-index order, before migration touches the islands.
+class RecordingIsland final : public Optimizer {
+ public:
+  RecordingIsland(const Problem& problem, std::unique_ptr<Optimizer> inner,
+                  std::vector<std::vector<Individual>>& offers)
+      : Optimizer(problem, 1), inner_(std::move(inner)), offers_(offers) {}
+
+  std::span<Individual> propose(bool initial, std::size_t round) override {
+    return inner_->propose(initial, round);
+  }
+  bool absorb(bool initial, std::size_t round) override {
+    const bool done = inner_->absorb(initial, round);
+    if (done) {
+      const auto pop = inner_->population();
+      offers_.emplace_back(pop.begin(), pop.end());
+    }
+    return done;
+  }
+  [[nodiscard]] std::span<const Individual> population() const override {
+    return inner_->population();
+  }
+  void inject(std::span<const Individual> immigrants) override {
+    inner_->inject(immigrants);
+  }
+  [[nodiscard]] std::size_t evaluations() const override {
+    return inner_->evaluations();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Optimizer> inner_;
+  std::vector<std::vector<Individual>>& offers_;
+};
+
+// A whole archipelago run — epoch merges after migration injections, with
+// capacity pruning — replayed through the naive oracle: every epoch's
+// archive fingerprints identically to the oracle fed the same offers.
+TEST(ArchiveTest, Pmo2RunMatchesNaiveOracle) {
+  const Zdt3 problem(10);
+  std::vector<std::vector<Individual>> offers;
+  const auto nsga2 = Pmo2::default_nsga2_factory(16);
+  Pmo2Options o;
+  o.islands = 3;
+  o.generations = 15;
+  o.migration_interval = 4;
+  o.migration_probability = 0.5;
+  o.archive_capacity = 8;  // below the front size, so pruning runs
+  o.seed = 77;
+  Pmo2 pmo2(problem, o,
+            [&](const Problem& p, std::uint64_t seed, std::size_t island) {
+              return std::make_unique<RecordingIsland>(p, nsga2(p, seed, island),
+                                                       offers);
+            });
+
+  oracle::NaiveArchive naive(o.archive_capacity);
+  std::size_t replayed = 0;
+  const auto epoch_matches_oracle = [&] {
+    if (offers.size() != replayed + o.islands) return false;
+    for (; replayed < offers.size(); ++replayed) naive.offer_all(offers[replayed]);
+    return pmo2.archive().fingerprint() == naive.fingerprint();
+  };
+  pmo2.initialize();
+  ASSERT_TRUE(epoch_matches_oracle()) << "initial epoch";
+  for (std::size_t g = 1; g <= o.generations; ++g) {
+    pmo2.step();
+    ASSERT_TRUE(epoch_matches_oracle()) << "generation " << g;
+  }
+  EXPECT_GT(pmo2.migrations_performed(), 0u);
+  EXPECT_EQ(pmo2.archive().size(), o.archive_capacity);
 }
 
 TEST(ArchiveTest, ClearEmpties) {

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "moo/dominance.hpp"
-#include "numeric/stats.hpp"
+#include "../numeric/stats.hpp"
 
 namespace rmp::moo {
 namespace {

@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "numeric/stats.hpp"
+#include "stats.hpp"
 
 namespace rmp::num {
 namespace {

@@ -22,7 +22,6 @@
 
 #include "core/parallel.hpp"
 #include "kinetics/c3model.hpp"
-#include "moo/evalcache.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/vec.hpp"
 
@@ -114,7 +113,7 @@ TEST(SolverDifferentialTest, DriftingStreamSettlesOrCyclesAndRepeatsHitThePool) 
   EXPECT_TRUE(repeat.pool_exact_hit);
   EXPECT_TRUE(repeat.converged);
   EXPECT_FALSE(repeat.oscillatory);
-  EXPECT_TRUE(moo::bitwise_equal(repeat.state, first.state));
+  EXPECT_TRUE(num::bitwise_equal(repeat.state, first.state));
   EXPECT_EQ(repeat.co2_uptake, first.co2_uptake);
 }
 
@@ -130,7 +129,7 @@ TEST(SolverDifferentialTest, EpochBatchesAreThreadCountInvariant) {
     EXPECT_EQ(serial[i].converged, wide[i].converged) << "candidate " << i;
     EXPECT_EQ(serial[i].oscillatory, wide[i].oscillatory) << "candidate " << i;
     EXPECT_EQ(serial[i].pool_exact_hit, wide[i].pool_exact_hit) << "candidate " << i;
-    EXPECT_TRUE(moo::bitwise_equal(serial[i].state, wide[i].state))
+    EXPECT_TRUE(num::bitwise_equal(serial[i].state, wide[i].state))
         << "candidate " << i;
     EXPECT_EQ(serial[i].co2_uptake, wide[i].co2_uptake) << "candidate " << i;
     EXPECT_EQ(serial[i].residual, wide[i].residual) << "candidate " << i;

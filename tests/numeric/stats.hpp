@@ -1,20 +1,26 @@
-#include "numeric/stats.hpp"
+// Descriptive statistics for the statistical tests (sample moments of RNG
+// draws, operator outputs and Monte-Carlo yield estimates).  Test-only: no
+// library code computes these.
+#pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace rmp::num {
 
-double mean(std::span<const double> a) {
+inline double mean(std::span<const double> a) {
   if (a.empty()) return 0.0;
   double acc = 0.0;
   for (double v : a) acc += v;
   return acc / static_cast<double>(a.size());
 }
 
-double variance(std::span<const double> a) {
+/// Unbiased sample variance (n-1 denominator); 0 for n < 2.
+inline double variance(std::span<const double> a) {
   if (a.size() < 2) return 0.0;
   const double m = mean(a);
   double acc = 0.0;
@@ -25,14 +31,16 @@ double variance(std::span<const double> a) {
   return acc / static_cast<double>(a.size() - 1);
 }
 
-double stddev(std::span<const double> a) { return std::sqrt(variance(a)); }
+inline double stddev(std::span<const double> a) { return std::sqrt(variance(a)); }
 
-double percentile(std::span<const double> a, double p) {
+/// Linear-interpolation percentile; input need not be sorted.  p outside
+/// [0, 100] clamps to the nearest bound; an empty input throws
+/// std::invalid_argument (summarize() reports empty inputs as a zeroed
+/// Summary instead of calling this).
+inline double percentile(std::span<const double> a, double p) {
   if (a.empty()) {
     throw std::invalid_argument("num::percentile: empty input");
   }
-  // Out-of-range p clamps to the nearest bound (min / max) instead of
-  // indexing out of bounds in Release builds.
   p = std::clamp(p, 0.0, 100.0);
   std::vector<double> sorted(a.begin(), a.end());
   std::sort(sorted.begin(), sorted.end());
@@ -44,9 +52,11 @@ double percentile(std::span<const double> a, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double median(std::span<const double> a) { return percentile(a, 50.0); }
+/// percentile(a, 50); throws std::invalid_argument on empty input.
+inline double median(std::span<const double> a) { return percentile(a, 50.0); }
 
-double pearson(std::span<const double> x, std::span<const double> y) {
+/// Pearson correlation of two equal-length samples; 0 when degenerate.
+inline double pearson(std::span<const double> x, std::span<const double> y) {
   assert(x.size() == y.size());
   if (x.size() < 2) return 0.0;
   const double mx = mean(x);
@@ -63,7 +73,18 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-Summary summarize(std::span<const double> a) {
+struct Summary {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double min = 0.0;
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+  double max = 0.0;
+  std::size_t count = 0;
+};
+
+inline Summary summarize(std::span<const double> a) {
   Summary s;
   s.count = a.size();
   if (a.empty()) return s;

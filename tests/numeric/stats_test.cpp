@@ -1,4 +1,4 @@
-#include "numeric/stats.hpp"
+#include "stats.hpp"
 
 #include <gtest/gtest.h>
 

@@ -101,6 +101,20 @@ TEST(VecTest, Constant) {
   EXPECT_EQ(v, (Vec{2.5, 2.5, 2.5, 2.5}));
 }
 
+TEST(VecTest, BitwiseEqualComparesBitPatterns) {
+  const Vec a{1.0, 2.0};
+  const Vec b{1.0, std::nextafter(2.0, 3.0)};
+  EXPECT_TRUE(bitwise_equal(a, a));
+  EXPECT_FALSE(bitwise_equal(a, b));
+  EXPECT_FALSE(bitwise_equal(a, Vec{1.0}));
+  EXPECT_TRUE(bitwise_equal(Vec{}, Vec{}));
+  // Equal as numbers, distinct as bit patterns.
+  EXPECT_FALSE(bitwise_equal(Vec{0.0}, Vec{-0.0}));
+  // Unequal as numbers, identical as bit patterns.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(bitwise_equal(Vec{nan}, Vec{nan}));
+}
+
 // Property sweep: ||a+b|| <= ||a|| + ||b|| (triangle inequality) for a grid
 // of scales.
 class VecNormProperty : public ::testing::TestWithParam<double> {};

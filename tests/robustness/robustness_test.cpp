@@ -10,7 +10,7 @@
 
 #include "kinetics/photosynthesis_problem.hpp"
 #include "kinetics/scenarios.hpp"
-#include "numeric/stats.hpp"
+#include "../numeric/stats.hpp"
 
 namespace rmp::robustness {
 namespace {
